@@ -147,7 +147,7 @@ def _call_unit(bound: BoundUnit, envelope: Envelope, timeout_s: float) -> _CallR
             if not isinstance(directive, (Continue, Stop, Divert)):
                 raise UnitExecutionError(f"next returned {directive!r}, expected a directive")
             box["result"] = (new_env, directive)
-        except Exception as exc:  # any unit failure is contained, not propagated
+        except (Exception, SystemExit) as exc:  # any unit failure, sys.exit() too, is contained
             if isinstance(exc, UnitExecutionError):
                 box["error"] = str(exc)
             else:
@@ -162,8 +162,8 @@ def _call_unit(bound: BoundUnit, envelope: Envelope, timeout_s: float) -> _CallR
     finished = done.wait(timeout_s)
     if not finished or "gate_timeout" in box:
         return _CallResult(ok=False, error=f"timed out after {int(timeout_s * 1000)} ms")
-    if "error" in box:
-        return _CallResult(ok=False, error=str(box["error"]))
+    if "result" not in box:
+        return _CallResult(ok=False, error=str(box.get("error", "unit call ended without a result")))
     new_env, directive = box["result"]  # type: ignore[misc]
     return _CallResult(ok=True, envelope=new_env, directive=directive)
 
@@ -224,7 +224,7 @@ def run_chain(
                 validate_value_map(result.envelope.payload)
                 validate_value_map(result.envelope.annotations, path="annotations")
                 next_position = apply_directive(result.directive, position, order)
-            except (DirectiveError, ValueError) as exc:
+            except (DirectiveError, ValueError, RecursionError) as exc:
                 error = f"{type(exc).__name__}: {exc}" if not isinstance(exc, DirectiveError) else str(exc)
             if error is None:
                 env = replace(

@@ -26,10 +26,12 @@ from .registry import (
     EMPTY_SNAPSHOT,
     FilePinStore,
     LoadFailed,
+    PayloadChanged,
     PinMissing,
     Registry,
     RegistrySnapshot,
     Reject,
+    ScanCache,
     UnitState,
     VersionPin,
     resolve_active,
@@ -170,6 +172,7 @@ class Host:
             pin_store=FilePinStore(config.drop_dir),
             diag=self.diag,
         )
+        self._scan_cache: ScanCache = {}
         self._writer_lock = threading.RLock()
         self._gate_lock = threading.Lock()
         self._world = _World(snapshot=EMPTY_SNAPSHOT, bound={})
@@ -219,6 +222,8 @@ class Host:
                 self.hot_swap_cycle()
             except DropDirUnreadable as exc:
                 self.diag(f"REJECT {exc.path} drop-dir-unreadable watcher tick skipped")
+            except Exception as exc:  # the watcher must outlive any one tick
+                self.diag(f"ERROR watcher tick failed: {type(exc).__name__}: {exc}")
 
     def on_epoch_change(self, listener: Callable[[SwapReport], None]) -> None:
         self._epoch_listeners.append(listener)
@@ -243,7 +248,8 @@ class Host:
         """
         with self._writer_lock:
             start_epoch = self._registry.snapshot.epoch
-            result = scan(self.config.drop_dir, diag=self.diag)
+            result = scan(self.config.drop_dir, diag=self.diag, cache=self._scan_cache)
+            rejects = list(result.rejects)
 
             by_name: dict[str, list[Discovery]] = {}
             for discovery in result.discoveries:
@@ -297,6 +303,11 @@ class Host:
                         continue
                 try:
                     self._registry.activate(discovery)
+                except PayloadChanged as exc:
+                    reject = Reject(str(discovery.path), "checksum-mismatch", exc.reason)
+                    rejects.append(reject)
+                    self.diag(f"REJECT {reject.path} {reject.code} {reject.detail}")
+                    continue
                 except LoadFailed as exc:
                     self.diag(
                         f"REJECT {discovery.path or name} load-failed {exc.reason}"
@@ -313,11 +324,14 @@ class Host:
                 end_epoch=self._registry.snapshot.epoch,
                 activated=tuple(activated),
                 deactivated=tuple(deactivated),
-                rejects=tuple(result.rejects),
+                rejects=tuple(rejects),
             )
         if report.changed:
             for listener in list(self._epoch_listeners):
-                listener(report)
+                try:
+                    listener(report)
+                except Exception as exc:  # a listener's fault is not the tick's
+                    self.diag(f"ERROR epoch listener failed: {type(exc).__name__}: {exc}")
         return report
 
     def _publish_world(self) -> None:

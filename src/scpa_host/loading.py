@@ -10,7 +10,6 @@ optional ``unload()`` runs after draining.
 
 from __future__ import annotations
 
-import importlib.util
 import itertools
 import threading
 from pathlib import Path
@@ -27,6 +26,7 @@ from .contract import (
     Stop,
     UnitExecutionError,
     parse_directive,
+    verify_payload,
 )
 from .registry import Discovery
 
@@ -38,21 +38,25 @@ class PayloadError(Exception):
     pass
 
 
-def load_payload_module(path: Path, unit_name: str, version: str) -> ModuleType:
-    """Execute a payload file as a private module, fresh per activation.
+def load_payload_module(
+    path: Path, unit_name: str, version: str, source: bytes | None = None
+) -> ModuleType:
+    """Execute payload source as a private module, fresh per activation.
 
-    The module gets a unique synthetic name and is never registered in
-    sys.modules, so two units (or two versions of one unit) defining the
-    same symbols cannot collide.
+    ``source`` is the payload's bytes as the caller read and verified them;
+    without it the file at ``path`` is read.  Exactly those bytes are
+    compiled: no ``__pycache__`` is written, and no ``.pyc`` beside the file
+    is run in their place.  The module gets a unique synthetic name and is
+    never registered in sys.modules, so two units (or two versions of one
+    unit) defining the same symbols cannot collide.
     """
+    if source is None:
+        source = Path(path).read_bytes()
     with _load_lock:
         serial = next(_module_serial)
-    mangled = f"_scpa_payload_{unit_name.replace('-', '_')}_{serial}"
-    spec = importlib.util.spec_from_file_location(mangled, path)
-    if spec is None or spec.loader is None:
-        raise PayloadError(f"cannot load payload at {path}")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    module = ModuleType(f"_scpa_payload_{unit_name.replace('-', '_')}_{serial}")
+    module.__file__ = str(path)
+    exec(compile(source, str(path), "exec", dont_inherit=True), module.__dict__)
     return module
 
 
@@ -119,9 +123,16 @@ class PayloadUnit:
 
 
 def payload_unit_factory(discovery: Discovery, context: HostContext) -> PayloadUnit:
-    """Registry unit factory backed by on-disk payload modules."""
+    """Registry unit factory backed by on-disk payload modules.
+
+    The payload is read once and checked against the manifest checksum
+    again: the scan that verified it may be many ticks old.  Raises
+    ChecksumMismatch when the bytes changed since.
+    """
     if discovery.path is None:
         raise PayloadError(f"discovery of {discovery.name} has no on-disk bundle")
     payload_path = Path(discovery.path) / discovery.manifest.payload_ref
-    module = load_payload_module(payload_path, discovery.name, discovery.version)
+    source = payload_path.read_bytes()
+    verify_payload(discovery.manifest, source)
+    module = load_payload_module(payload_path, discovery.name, discovery.version, source)
     return PayloadUnit(discovery.manifest, module, context)

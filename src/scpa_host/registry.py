@@ -9,7 +9,9 @@ empty ``disabled`` marker switches the unit off without deleting it.
 from __future__ import annotations
 
 import os
+import stat
 import threading
+import time
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -49,6 +51,12 @@ class LoadFailed(RegistryError):
         super().__init__(f"load failed for {unit}: {reason}")
         self.unit = unit
         self.reason = reason
+
+
+class PayloadChanged(LoadFailed):
+    """The payload no longer has the checksum the scan verified.
+
+    The version stays Validated: a later scan sees the new bytes."""
 
 
 class NotActive(RegistryError):
@@ -207,72 +215,198 @@ def write_pin(unit_dir: Path, version: str) -> None:
     os.replace(tmp, unit_dir / PIN_FILENAME)
 
 
-def scan(drop_dir: Path, diag: Callable[[str], None] | None = None) -> ScanResult:
+RACY_WINDOW_NS = 2_000_000_000
+"""A cached fingerprint is trusted only when the file's ctime is at least this
+much older than the start of the scan that cached it (git's racy-clean rule).
+File timestamps advance once per kernel tick, so a same-size rewrite within
+one tick of the previous write leaves the fingerprint unchanged."""
+
+Fingerprint = tuple[int, int, int, int, int]
+
+
+@dataclass(frozen=True)
+class _CachedBundle:
+    """What one scan learned about a version directory, and the stat
+    fingerprints (None: no such file) it learned it from."""
+
+    manifest: Fingerprint | None
+    payload_ref: str | None
+    payload: Fingerprint | None
+    outcome: Discovery | Reject
+
+
+ScanCache = dict[str, _CachedBundle]
+"""Version directory path -> the cached result of examining it."""
+
+
+def _stat(path: str) -> os.stat_result | None:
+    try:
+        return os.stat(path)
+    except OSError:
+        return None
+
+
+def _fingerprint(st: os.stat_result | None) -> Fingerprint | None:
+    if st is None:
+        return None
+    return (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns)
+
+
+def _read(path: str) -> bytes:
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def _list_dir(path: str) -> tuple[list[os.DirEntry], set[str]]:
+    """The non-hidden subdirectories of ``path`` in name order, and the names
+    of all its entries."""
+    names: set[str] = set()
+    subdirs: list[os.DirEntry] = []
+    with os.scandir(path) as entries:
+        for entry in entries:
+            names.add(entry.name)
+            if entry.name.startswith("."):
+                continue
+            try:
+                is_dir = entry.is_dir()
+            except OSError:
+                continue
+            if is_dir:
+                subdirs.append(entry)
+    subdirs.sort(key=lambda e: e.name)
+    return subdirs, names
+
+
+def _examine(
+    unit_name: str, version_dir: os.DirEntry, manifest_st: os.stat_result | None
+) -> _CachedBundle:
+    """Read, parse and verify one version directory."""
+    path = version_dir.path
+    manifest_fp = _fingerprint(manifest_st)
+
+    def rejected(code: str, detail: str, payload_ref=None, payload_fp=None) -> _CachedBundle:
+        return _CachedBundle(manifest_fp, payload_ref, payload_fp, Reject(path, code, detail))
+
+    if manifest_st is None or not stat.S_ISREG(manifest_st.st_mode):
+        return rejected("missing-manifest", f"no {MANIFEST_FILENAME}")
+    try:
+        text = _read(f"{path}/{MANIFEST_FILENAME}").decode("utf-8")
+    except OSError as exc:
+        return rejected("unreadable", f"cannot read {MANIFEST_FILENAME}: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        return rejected("bad-manifest", f"not UTF-8 text at byte {exc.start}")
+    try:
+        manifest = parse_manifest(text)
+    except ManifestError as exc:
+        return rejected("bad-manifest", str(exc))
+    if manifest.name != unit_name or manifest.version != version_dir.name:
+        return rejected(
+            "name-version-mismatch",
+            f"directory says {unit_name}/{version_dir.name}, "
+            f"manifest says {manifest.name}/{manifest.version}",
+        )
+    payload_path = f"{path}/{manifest.payload_ref}"
+    payload_fp = _fingerprint(_stat(payload_path))
+    try:
+        payload = _read(payload_path)
+    except OSError:
+        return rejected(
+            "missing-payload", f"cannot read {manifest.payload_ref}", manifest.payload_ref, payload_fp
+        )
+    try:
+        verify_payload(manifest, payload)
+    except ChecksumMismatch as exc:
+        return rejected("checksum-mismatch", str(exc), manifest.payload_ref, payload_fp)
+    discovery = Discovery(
+        name=manifest.name, version=manifest.version, manifest=manifest, path=Path(path)
+    )
+    return _CachedBundle(manifest_fp, manifest.payload_ref, payload_fp, discovery)
+
+
+def _unchanged(
+    cached: _CachedBundle | None, version_path: str, manifest_fp: Fingerprint | None
+) -> bool:
+    if cached is None or cached.manifest != manifest_fp:
+        return False
+    if cached.payload_ref is None:
+        return True
+    return _fingerprint(_stat(f"{version_path}/{cached.payload_ref}")) == cached.payload
+
+
+def _trusted(cached: _CachedBundle, scan_started_ns: int) -> bool:
+    """Whether a later scan may reuse ``cached`` on an equal fingerprint."""
+    if isinstance(cached.outcome, Reject) and cached.outcome.code == "unreadable":
+        return False  # a read error may be transient: retry it on the next scan
+    newest_trusted = scan_started_ns - RACY_WINDOW_NS
+    return all(  # fp[4] is st_ctime_ns
+        fp is None or fp[4] <= newest_trusted for fp in (cached.manifest, cached.payload)
+    )
+
+
+def scan(
+    drop_dir: Path,
+    diag: Callable[[str], None] | None = None,
+    cache: ScanCache | None = None,
+) -> ScanResult:
     """Discover valid bundles under the drop folder.
 
-    Never raises on a malformed bundle: every invalid one lands in rejects
-    with a reason code.  Only an unreadable drop dir is an error.
-    """
-    drop_dir = Path(drop_dir)
-    try:
-        unit_dirs = sorted(p for p in drop_dir.iterdir())
-    except OSError:
-        raise DropDirUnreadable(drop_dir) from None
+    Never raises on a malformed bundle: every invalid or unreadable one lands
+    in rejects with a reason code.  Only an unreadable drop dir is an error.
 
+    With a ``cache`` (kept by the caller from one scan to the next), a
+    version directory whose manifest and payload have the stat fingerprints
+    seen before costs two ``stat`` calls: its earlier discovery or reject is
+    reused without reading, parsing or hashing.  Entries of directories that
+    are gone are dropped from the cache.
+    """
+    base = os.fspath(Path(drop_dir))
+    try:
+        unit_dirs, _ = _list_dir(base)
+    except OSError:
+        raise DropDirUnreadable(Path(drop_dir)) from None
+    prefix = "" if base == "." else os.path.join(base, "")
+    started_ns = time.time_ns()
+    seen: set[str] = set()
     result = ScanResult()
 
-    def reject(path: Path, code: str, detail: str) -> None:
-        result.rejects.append(Reject(path=str(path), code=code, detail=detail))
+    def reject(found: Reject) -> None:
+        result.rejects.append(found)
         if diag is not None:
-            diag(f"REJECT {path} {code} {detail}")
+            diag(f"REJECT {found.path} {found.code} {found.detail}")
 
-    for unit_dir in unit_dirs:
-        if not unit_dir.is_dir() or unit_dir.name.startswith("."):
+    for unit_entry in unit_dirs:
+        unit_name = unit_entry.name
+        unit_path = prefix + unit_name
+        try:
+            version_dirs, names = _list_dir(unit_path)
+        except OSError as exc:
+            reject(Reject(unit_path, "unreadable", f"cannot list unit directory: {exc.strerror}"))
             continue
-        if (unit_dir / DISABLED_FILENAME).exists():
-            result.disabled.add(unit_dir.name)
-        pin = read_pin(unit_dir)
-        if pin is not None:
-            result.pins[unit_dir.name] = pin
-        for version_dir in sorted(p for p in unit_dir.iterdir()):
-            if not version_dir.is_dir() or version_dir.name.startswith("."):
-                continue
-            manifest_path = version_dir / MANIFEST_FILENAME
-            if not manifest_path.is_file():
-                reject(version_dir, "missing-manifest", f"no {MANIFEST_FILENAME}")
-                continue
-            try:
-                manifest = parse_manifest(manifest_path.read_text(encoding="utf-8"))
-            except ManifestError as exc:
-                reject(version_dir, "bad-manifest", str(exc))
-                continue
-            if manifest.name != unit_dir.name or manifest.version != version_dir.name:
-                reject(
-                    version_dir,
-                    "name-version-mismatch",
-                    f"directory says {unit_dir.name}/{version_dir.name}, "
-                    f"manifest says {manifest.name}/{manifest.version}",
-                )
-                continue
-            payload_path = version_dir / manifest.payload_ref
-            try:
-                payload = payload_path.read_bytes()
-            except OSError:
-                reject(version_dir, "missing-payload", f"cannot read {manifest.payload_ref}")
-                continue
-            try:
-                verify_payload(manifest, payload)
-            except ChecksumMismatch as exc:
-                reject(version_dir, "checksum-mismatch", str(exc))
-                continue
-            result.discoveries.append(
-                Discovery(
-                    name=manifest.name,
-                    version=manifest.version,
-                    manifest=manifest,
-                    path=version_dir,
-                )
-            )
+        if DISABLED_FILENAME in names:
+            result.disabled.add(unit_name)
+        if PIN_FILENAME in names:
+            pin = read_pin(Path(unit_path))
+            if pin is not None:
+                result.pins[unit_name] = pin
+        for version_dir in version_dirs:
+            path = version_dir.path
+            manifest_st = _stat(f"{path}/{MANIFEST_FILENAME}")
+            cached = cache.get(path) if cache is not None else None
+            if not _unchanged(cached, path, _fingerprint(manifest_st)):
+                cached = _examine(unit_name, version_dir, manifest_st)
+                if cache is not None:
+                    if _trusted(cached, started_ns):
+                        cache[path] = cached
+                    else:
+                        cache.pop(path, None)
+            seen.add(path)
+            if isinstance(cached.outcome, Reject):
+                reject(cached.outcome)
+            else:
+                result.discoveries.append(cached.outcome)
+    if cache is not None:
+        for gone in cache.keys() - seen:
+            del cache[gone]
     return result
 
 
@@ -449,7 +583,9 @@ class Registry:
 
         If another version of the unit is active it transitions to Draining
         and is absent from the new snapshot.  A load failure marks the
-        version Failed and leaves the snapshot unchanged.
+        version Failed and leaves the snapshot unchanged; a payload whose
+        bytes no longer match the manifest raises PayloadChanged and leaves
+        the version Validated.
         """
         key = (discovery.name, discovery.version)
         self.note_discovery(discovery)
@@ -466,6 +602,8 @@ class Registry:
         try:
             unit = self._unit_factory(discovery, context)
             report = unit.load(context)
+        except ChecksumMismatch as exc:
+            raise PayloadChanged(discovery.name, str(exc)) from exc
         except Exception as exc:
             self._transition(discovery.name, discovery.version, UnitState.FAILED, str(exc))
             raise LoadFailed(discovery.name, str(exc)) from exc

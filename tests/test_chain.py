@@ -94,6 +94,16 @@ class TestApplyDirective:
             apply_directive(Divert("zz"), 0, self.ORDER)
 
 
+def _exits(envelope):
+    raise SystemExit(3)
+
+
+def _returns_cycle(envelope):
+    payload = {"k": "x"}
+    payload["self"] = payload
+    return envelope.with_payload(payload)
+
+
 class TestRunChain:
     def test_empty_chain_is_identity(self):
         snapshot, bound = build([])
@@ -202,6 +212,40 @@ class TestRunChain:
         assert out.payload["k"] == "b"
         assert out.trace[0].outcome is Outcome.ERROR
         assert "timed out" in out.trace[0].error
+
+    @pytest.mark.parametrize(
+        "execute, error", [(_exits, "SystemExit: 3"), (_returns_cycle, "RecursionError")]
+    )
+    def test_hostile_unit_is_contained(self, execute, error):
+        class Hostile:
+            def load(self, context):
+                return None
+
+            def next(self, envelope):
+                return CONTINUE
+
+        hostile = Hostile()
+        hostile.execute = execute
+        registry = MemoryRegistry()
+        registry._units[("hh", "1.0.0")] = hostile
+        registry.add(reference_unit("ii", "1.0.0", {EP: Behavior(("append", "k", "i"))}), priority=20)
+        from scpa_host.registry import Discovery
+        from _util import reference_manifest
+
+        registry.registry.activate(Discovery("hh", "1.0.0", reference_manifest("hh", "1.0.0", 10, [EP])))
+        out = run_chain(
+            registry.snapshot, EP, make_envelope(EP, {"k": ""}), ErrorPolicy.FAIL_OPEN,
+            units=registry.bound(),
+        )
+        assert out.payload == {"k": "i"}
+        assert [(r.unit, r.outcome) for r in out.trace] == [("hh", Outcome.ERROR), ("ii", Outcome.OK)]
+        assert error in out.trace[0].error
+        with pytest.raises(ChainError) as err:
+            run_chain(
+                registry.snapshot, EP, make_envelope(EP, {"k": ""}), ErrorPolicy.FAIL_CLOSED,
+                units=registry.bound(),
+            )
+        assert err.value.unit == "hh" and error in err.value.message
 
     def test_unit_cannot_forge_envelope_identity(self):
         class Forger:

@@ -298,6 +298,76 @@ class TestHotSwap:
         finally:
             host.stop()
 
+    def test_watcher_survives_a_raising_tick(self, tmp_path, monkeypatch):
+        import scpa_host.host as host_mod
+
+        real_scan = host_mod.scan
+        calls = []
+
+        def scan_failing_once(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:  # the first watcher tick
+                raise RuntimeError("disk on fire")
+            return real_scan(*args, **kwargs)
+
+        monkeypatch.setattr(host_mod, "scan", scan_failing_once)
+        stream = io.StringIO()
+        host = make_host(tmp_path, scan_interval_ms=20, diagnostics=stream).start()
+        try:
+            write_bundle(
+                host.config.drop_dir, "unit-a", "1.0.0", APPEND.format(stamp="a"), [("business", EP, "handle")]
+            )
+            deadline = time.monotonic() + 5
+            while host.registry.active_version("unit-a") is None and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert host.registry.active_version("unit-a") == "1.0.0"
+        finally:
+            host.stop()
+        assert "ERROR watcher tick failed: RuntimeError: disk on fire" in stream.getvalue().splitlines()
+
+    def test_raising_epoch_listener_is_reported_not_raised(self, tmp_path):
+        stream = io.StringIO()
+        host = make_host(tmp_path, diagnostics=stream).start()
+        seen = []
+        host.on_epoch_change(lambda report: 1 / 0)
+        host.on_epoch_change(seen.append)
+        try:
+            write_bundle(
+                host.config.drop_dir, "unit-a", "1.0.0", APPEND.format(stamp="a"), [("business", EP, "handle")]
+            )
+            report = host.hot_swap_cycle()
+        finally:
+            host.stop()
+        assert seen == [report]
+        assert "ERROR epoch listener failed: ZeroDivisionError: division by zero" in stream.getvalue()
+
+    def test_payload_changed_after_scan_is_a_reject_for_that_tick(self, tmp_path, monkeypatch):
+        import scpa_host.host as host_mod
+
+        host = make_host(tmp_path).start()
+        bundle = write_bundle(
+            host.config.drop_dir, "unit-a", "1.0.0", APPEND.format(stamp="a"), [("business", EP, "handle")]
+        )
+        real_scan = host_mod.scan
+
+        def scan_then_tamper(*args, **kwargs):
+            result = real_scan(*args, **kwargs)
+            (bundle / "payload.py").write_text(APPEND.format(stamp="evil"))
+            return result
+
+        try:
+            with monkeypatch.context() as m:
+                m.setattr(host_mod, "scan", scan_then_tamper)
+                report = host.hot_swap_cycle()
+            assert report.activated == ()
+            assert [(r.path, r.code) for r in report.rejects] == [(str(bundle), "checksum-mismatch")]
+            assert host.registry.record_state("unit-a", "1.0.0") is UnitState.VALIDATED
+            (bundle / "payload.py").write_text(APPEND.format(stamp="a"))
+            assert host.hot_swap_cycle().activated == (("unit-a", "1.0.0"),)
+            assert host.dispatch(EP, {})["log"] == "a"
+        finally:
+            host.stop()
+
     def test_epoch_lines_on_diagnostics(self, tmp_path):
         stream = io.StringIO()
         host = make_host(tmp_path, diagnostics=stream)

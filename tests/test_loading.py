@@ -1,6 +1,9 @@
 """Dynamic payload modules: isolation, load hooks, handler dispatch."""
 
+import importlib.util
+import marshal
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -147,3 +150,49 @@ class TestIsolation:
         discovery = Discovery("unit-a", "1.0.0", reference_manifest("unit-a", "1.0.0", 10, [EP]))
         with pytest.raises(PayloadError):
             payload_unit_factory(discovery, CTX)
+
+
+class TestVerifiedBytes:
+    SOURCE = "def handle(payload, context):\n    return dict(payload, by='source')\n"
+
+    def test_no_pycache_written_and_forged_pyc_never_runs(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(sys, "dont_write_bytecode", False)
+        write_bundle(tmp_path, "unit-a", "1.0.0", self.SOURCE, [("business", EP, "handle")])
+        discovery = scan(tmp_path).discoveries[0]
+        unit = payload_unit_factory(discovery, CTX)
+        assert unit.execute(make_envelope(EP, {})).payload["by"] == "source"
+        assert not list(tmp_path.rglob("__pycache__"))
+
+        # a .pyc whose header claims the source's mtime and size
+        payload = discovery.path / "payload.py"
+        st = payload.stat()
+        forged = compile(self.SOURCE.replace("source", "forged"), str(payload), "exec")
+        pyc = Path(importlib.util.cache_from_source(str(payload)))
+        pyc.parent.mkdir()
+        pyc.write_bytes(
+            importlib.util.MAGIC_NUMBER
+            + (0).to_bytes(4, "little")
+            + (int(st.st_mtime) & 0xFFFFFFFF).to_bytes(4, "little")
+            + (st.st_size & 0xFFFFFFFF).to_bytes(4, "little")
+            + marshal.dumps(forged)
+        )
+        unit = payload_unit_factory(discovery, CTX)
+        assert unit.execute(make_envelope(EP, {})).payload["by"] == "source"
+
+    def test_payload_altered_after_scan_never_runs(self, tmp_path):
+        from scpa_host.registry import PayloadChanged, UnitState
+
+        write_bundle(tmp_path, "unit-a", "1.0.0", self.SOURCE, [("business", EP, "handle")])
+        discovery = scan(tmp_path).discoveries[0]
+        payload = discovery.path / "payload.py"
+        marker = tmp_path / "ran"
+        payload.write_text(f"open({str(marker)!r}, 'w').close()\n" + self.SOURCE)
+        registry = Registry(payload_unit_factory)
+        with pytest.raises(PayloadChanged, match="checksum"):
+            registry.activate(discovery)
+        assert not marker.exists()
+        assert registry.record_state("unit-a", "1.0.0") is UnitState.VALIDATED
+
+        payload.write_text(self.SOURCE)
+        registry.activate(scan(tmp_path).discoveries[0])
+        assert registry.record_state("unit-a", "1.0.0") is UnitState.ACTIVE

@@ -1,10 +1,14 @@
 """Registry: scan, lifecycle state machine, snapshots, pins, rollback."""
 
 import itertools
+import os
 import random
+import shutil
+import time
 
 import pytest
 
+import scpa_host.registry as registry_mod
 from scpa_host.contract import Behavior, LoadReport, payload_checksum, reference_unit
 from scpa_host.registry import (
     Discovery,
@@ -107,6 +111,189 @@ class TestScan:
         (unit_dir / "pin").write_text("pinned to the wall\n")
         assert read_pin(unit_dir) is None
         assert scan(tmp_path).pins == {}
+
+
+    def test_non_utf8_manifest_is_a_reject(self, tmp_path):
+        bundle = write_bundle(tmp_path, "unit-a", "1.0.0", OK_PAYLOAD, BINDINGS)
+        (bundle / "manifest.scpa").write_bytes(b"name: unit-\xff\n")
+        write_bundle(tmp_path, "unit-b", "1.0.0", OK_PAYLOAD, BINDINGS)
+        result = scan(tmp_path)
+        assert [d.name for d in result.discoveries] == ["unit-b"]
+        assert [(r.code, r.detail) for r in result.rejects] == [("bad-manifest", "not UTF-8 text at byte 11")]
+
+    def test_unreadable_manifest_is_a_reject(self, tmp_path, monkeypatch):
+        bundle = write_bundle(tmp_path, "unit-a", "1.0.0", OK_PAYLOAD, BINDINGS)
+        real_read = registry_mod._read
+
+        def read(path):
+            if path == str(bundle / "manifest.scpa"):
+                raise PermissionError(13, "Permission denied")
+            return real_read(path)
+
+        monkeypatch.setattr(registry_mod, "_read", read)
+        monkeypatch.setattr(registry_mod, "RACY_WINDOW_NS", 0)
+        cache = {}
+        result = scan(tmp_path, cache=cache)
+        assert [(r.code, r.detail) for r in result.rejects] == [
+            ("unreadable", "cannot read manifest.scpa: Permission denied")
+        ]
+        assert cache == {}  # a read error may be transient: the next scan retries
+
+    def test_unit_directory_removed_after_listing_is_a_reject(self, tmp_path, monkeypatch):
+        write_bundle(tmp_path, "unit-a", "1.0.0", OK_PAYLOAD, BINDINGS)
+        write_bundle(tmp_path, "unit-b", "1.0.0", OK_PAYLOAD, BINDINGS)
+        real_scandir = os.scandir
+
+        class Listing(list):
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+        def scandir(path):
+            with real_scandir(path) as entries:
+                listing = Listing(entries)
+            if path == str(tmp_path):
+                shutil.rmtree(tmp_path / "unit-a")
+            return listing
+
+        monkeypatch.setattr(os, "scandir", scandir)
+        result = scan(tmp_path)
+        assert [d.name for d in result.discoveries] == ["unit-b"]
+        assert [(r.path, r.code) for r in result.rejects] == [(str(tmp_path / "unit-a"), "unreadable")]
+
+
+def _wait_for_next_timestamp_tick():
+    """Let file timestamps move on, so the next write changes a fingerprint."""
+    time.sleep(0.05)
+
+
+class TestScanCache:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Counts reads, manifest parses and payload hashes inside scan."""
+        counts = {}
+        for name in ("_read", "parse_manifest", "verify_payload"):
+            real = getattr(registry_mod, name)
+
+            def counting(*args, _real=real, _name=name):
+                counts[_name] = counts.get(_name, 0) + 1
+                return _real(*args)
+
+            monkeypatch.setattr(registry_mod, name, counting)
+        return counts
+
+    def test_unchanged_tree_costs_one_listing_per_unit_and_two_stats_per_version(
+        self, tmp_path, monkeypatch, calls
+    ):
+        monkeypatch.setattr(registry_mod, "RACY_WINDOW_NS", 0)
+        for name in ("unit-a", "unit-b", "unit-c"):
+            write_bundle(tmp_path, name, "1.0.0", OK_PAYLOAD, BINDINGS)
+        write_bundle(tmp_path, "unit-c", "1.1.0", OK_PAYLOAD, BINDINGS)
+        (tmp_path / "unit-a" / "1.0.0" / "payload.py").write_text(OK_PAYLOAD + "# tampered\n")
+        (tmp_path / "unit-b" / "disabled").touch()
+        cache = {}
+        first = scan(tmp_path, cache=cache)
+        assert calls == {"_read": 8, "parse_manifest": 4, "verify_payload": 4}
+
+        calls.clear()
+        stats, listings = [], []
+        real_stat, real_scandir = os.stat, os.scandir
+        with monkeypatch.context() as m:
+            m.setattr(os, "stat", lambda path, *a, **k: stats.append(path) or real_stat(path, *a, **k))
+            m.setattr(os, "scandir", lambda path: listings.append(path) or real_scandir(path))
+            second = scan(tmp_path, cache=cache)
+        assert calls == {}
+        assert len(listings) == 1 + 3
+        assert len(stats) == 2 * 4
+        assert second == first
+
+    def test_same_size_rewrite_right_after_a_scan_is_caught(self, tmp_path, monkeypatch):
+        bundle = write_bundle(tmp_path, "unit-a", "1.0.0", OK_PAYLOAD, BINDINGS)
+        payload = bundle / "payload.py"
+        real_stat = os.stat
+
+        def scan_rewrite_scan(cache):
+            assert len(scan(tmp_path, cache=cache).discoveries) == 1
+            before = real_stat(payload)
+            with open(payload, "r+b") as fh:
+                fh.write(b"#")
+            # a rewrite within one timestamp tick leaves the fingerprint as it was
+            with monkeypatch.context() as m:
+                m.setattr(
+                    os, "stat",
+                    lambda path, *a, **k: before if path == str(payload) else real_stat(path, *a, **k),
+                )
+                return scan(tmp_path, cache=cache)
+
+        assert [r.code for r in scan_rewrite_scan({}).rejects] == ["checksum-mismatch"]
+
+        # what the racy window guards against: with none, the stale result is served
+        payload.write_text(OK_PAYLOAD)
+        monkeypatch.setattr(registry_mod, "RACY_WINDOW_NS", 0)
+        assert scan_rewrite_scan({}).rejects == []
+
+    def test_replaced_manifest_is_caught(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(registry_mod, "RACY_WINDOW_NS", 0)
+        write_bundle(tmp_path, "unit-a", "1.0.0", OK_PAYLOAD, BINDINGS, priority=100)
+        elsewhere = write_bundle(tmp_path / ".staging", "unit-a", "1.0.0", OK_PAYLOAD, BINDINGS, priority=7)
+        cache = {}
+        assert scan(tmp_path, cache=cache).discoveries[0].manifest.priority == 100
+        os.replace(elsewhere / "manifest.scpa", tmp_path / "unit-a" / "1.0.0" / "manifest.scpa")
+        assert scan(tmp_path, cache=cache).discoveries[0].manifest.priority == 7
+
+    def test_deleted_version_directory_is_pruned(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(registry_mod, "RACY_WINDOW_NS", 0)
+        write_bundle(tmp_path, "unit-a", "1.0.0", OK_PAYLOAD, BINDINGS)
+        newer = write_bundle(tmp_path, "unit-a", "1.1.0", OK_PAYLOAD, BINDINGS)
+        cache = {}
+        scan(tmp_path, cache=cache)
+        assert sorted(cache) == [str(tmp_path / "unit-a" / v) for v in ("1.0.0", "1.1.0")]
+        shutil.rmtree(newer)
+        assert [d.version for d in scan(tmp_path, cache=cache).discoveries] == ["1.0.0"]
+        assert sorted(cache) == [str(tmp_path / "unit-a" / "1.0.0")]
+
+    def test_cached_reject_is_reported_on_every_scan(self, tmp_path, monkeypatch, calls):
+        monkeypatch.setattr(registry_mod, "RACY_WINDOW_NS", 0)
+        bundle = write_bundle(tmp_path, "unit-a", "1.0.0", OK_PAYLOAD, BINDINGS)
+        (bundle / "manifest.scpa").write_text("name: unit-a\n")
+        cache, lines = {}, []
+        for _ in range(3):
+            assert [r.code for r in scan(tmp_path, diag=lines.append, cache=cache).rejects] == ["bad-manifest"]
+        assert calls["parse_manifest"] == 1
+        assert len(lines) == 3 and len(set(lines)) == 1 and lines[0].startswith("REJECT ")
+
+    def test_cached_scan_equals_uncached_scan_after_each_edit(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(registry_mod, "RACY_WINDOW_NS", 0)
+        unit_dir = tmp_path / "unit-a"
+        bundle = unit_dir / "1.0.0"
+        other = "def handle(payload, context):\n    return dict(payload, x=1)\n"
+
+        def rewrite_in_place(text):
+            with open(bundle / "payload.py", "r+b") as fh:
+                fh.write(text.encode())
+                fh.truncate()
+
+        edits = [
+            lambda: write_bundle(tmp_path, "unit-a", "1.0.0", OK_PAYLOAD, BINDINGS),
+            lambda: write_bundle(tmp_path, "unit-b", "2.0.0", other, BINDINGS),
+            lambda: rewrite_in_place("#" + OK_PAYLOAD[1:]),
+            lambda: rewrite_in_place(OK_PAYLOAD),
+            lambda: write_bundle(tmp_path, "unit-a", "1.0.0", OK_PAYLOAD, BINDINGS, priority=5),
+            lambda: (bundle / "payload.py").unlink(),
+            lambda: (bundle / "payload.py").write_text(OK_PAYLOAD),
+            lambda: (unit_dir / "disabled").touch(),
+            lambda: write_pin(unit_dir, "1.0.0"),
+            lambda: (bundle / "manifest.scpa").write_bytes(b"\xff"),
+            lambda: shutil.rmtree(tmp_path / "unit-b"),
+            lambda: shutil.rmtree(bundle),
+        ]
+        cache = {}
+        for edit in edits:
+            _wait_for_next_timestamp_tick()
+            edit()
+            assert scan(tmp_path, cache=cache) == scan(tmp_path)
 
 
 class TestResolveActive:

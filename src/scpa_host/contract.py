@@ -280,34 +280,92 @@ def verify_payload(manifest: Manifest, payload: bytes) -> None:
 
 # --- value maps -----------------------------------------------------------
 
-def validate_value_map(value: Any, path: str = "payload") -> None:
-    """Validate the payload data model: text, int64, float, bool, bytes,
-    lists, and nested maps with non-empty text keys."""
+def copy_value_map(value: Any, path: str = "payload") -> dict[str, Any]:
+    """Validate the payload data model and return a fresh copy in one pass.
+
+    The data model is text, int64, float, bool, bytes, lists, and nested maps
+    with non-empty text keys.  Scalars are immutable and kept as they are;
+    every map and list is rebuilt as a plain ``dict`` or ``list``.  A
+    container reached twice is copied once and stays shared in the copy, so
+    the cost is linear in the number of distinct containers.  Only finished
+    copies are remembered: a cycle recurses until ``RecursionError``.
+    """
     if not isinstance(value, dict):
         raise ValueMapError(f"{path}: expected a mapping, got {type(value).__name__}")
-    for key, item in value.items():
+    try:
+        return _copy_map(value, {})
+    except _Invalid as bad:
+        raise ValueMapError(f"{path}{''.join(reversed(bad.where))}: {bad.message}") from None
+
+
+def validate_value_map(value: Any, path: str = "payload") -> None:
+    """Raise ValueMapError unless ``value`` fits the value-map data model."""
+    copy_value_map(value, path)
+
+
+class _Invalid(Exception):
+    """A rule broken inside a value map; ``where`` collects the path
+    segments, innermost first, as the walk unwinds."""
+
+    def __init__(self, message: str):
+        self.message = message
+        self.where: list[str] = []
+
+
+_KEEP = frozenset((str, float, bool, bytes))  # exact scalar types, always valid
+
+
+def _copy_map(src: dict, memo: dict[int, Any]) -> dict[str, Any]:
+    out: dict[str, Any] = {}
+    for key, item in dict.items(src):  # the stored items, whatever a subclass overrides
         if not isinstance(key, str) or not key:
-            raise ValueMapError(f"{path}: keys must be non-empty text, got {key!r}")
-        _validate_value(item, f"{path}.{key}")
+            raise _Invalid(f"keys must be non-empty text, got {key!r}")
+        cls = type(item)
+        if cls in _KEEP or (cls is int and INT64_MIN <= item <= INT64_MAX):
+            out[key] = item
+            continue
+        try:
+            out[key] = _copy_item(item, memo)
+        except _Invalid as bad:
+            bad.where.append(f".{key}")
+            raise
+    return out
 
 
-def _validate_value(value: Any, path: str) -> None:
-    if isinstance(value, bool):
-        return
+def _copy_list(src: list, memo: dict[int, Any]) -> list[Any]:
+    out: list[Any] = []
+    append = out.append
+    for item in list.__iter__(src):
+        cls = type(item)
+        if cls in _KEEP or (cls is int and INT64_MIN <= item <= INT64_MAX):
+            append(item)
+            continue
+        try:
+            append(_copy_item(item, memo))
+        except _Invalid as bad:
+            bad.where.append(f"[{len(out)}]")  # the items before it are all copied
+            raise
+    return out
+
+
+def _copy_item(value: Any, memo: dict[int, Any]) -> Any:
+    """The slow path: containers, out-of-range ints, scalar subclasses."""
+    if isinstance(value, (dict, list)):
+        done = memo.get(id(value))
+        if done is None:
+            if isinstance(value, dict):
+                done = _copy_map(value, memo)
+            else:
+                done = _copy_list(value, memo)
+            memo[id(value)] = done
+        return done
+    if isinstance(value, (str, float, bool, bytes)):
+        return value
     if isinstance(value, int):
         if not INT64_MIN <= value <= INT64_MAX:
-            raise ValueMapError(f"{path}: integer outside 64-bit signed range")
-        return
-    if isinstance(value, (str, float, bytes)):
-        return
-    if isinstance(value, list):
-        for i, item in enumerate(value):
-            _validate_value(item, f"{path}[{i}]")
-        return
-    if isinstance(value, dict):
-        validate_value_map(value, path)
-        return
-    raise ValueMapError(f"{path}: unsupported value type {type(value).__name__}")
+            raise _Invalid("integer outside 64-bit signed range")
+        return value
+    raise _Invalid(f"unsupported value type {type(value).__name__}")
 
 
 def value_equal(a: Any, b: Any) -> bool:
@@ -432,11 +490,11 @@ def make_envelope(
     epoch: int = 0,
     env_id: str | None = None,
 ) -> Envelope:
-    """Build a fresh envelope for one dispatch; validates the payload."""
+    """Build a fresh envelope for one dispatch from a validated copy of the
+    payload, so the dispatch never shares a list or map with its caller."""
     if not EXTENSION_POINT_RE.match(extension_point):
         raise ValueError(f"bad extension point {extension_point!r}")
-    payload = dict(payload)
-    validate_value_map(payload)
+    payload = copy_value_map(dict(payload))
     return Envelope(
         id=env_id if env_id is not None else new_envelope_id(),
         extension_point=extension_point,

@@ -2,6 +2,7 @@
 
 import itertools
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -490,3 +491,191 @@ class TestReentrancyGates:
 
     def test_reentrant_units_run_concurrently(self):
         assert self._dispatch_concurrently(reentrant=True) >= 2
+
+
+class FnUnit:
+    """A unit whose execute is a plain function of the envelope."""
+
+    def __init__(self, execute):
+        self.execute = execute
+
+    def load(self, context):
+        return None
+
+    def next(self, envelope):
+        return CONTINUE
+
+
+def build_fn_units(*rows):
+    """(name, priority, execute) triples -> (snapshot, bound units dict)."""
+    from scpa_host.registry import Discovery
+    from _util import reference_manifest
+
+    registry = MemoryRegistry()
+    for name, priority, execute in rows:
+        registry._units[(name, "1.0.0")] = FnUnit(execute)
+        registry.registry.activate(
+            Discovery(name, "1.0.0", reference_manifest(name, "1.0.0", priority, [EP]))
+        )
+    return registry.snapshot, registry.bound()
+
+
+def shared_lists(depth):
+    """A list of two references to a list of two references to ... : 2**depth
+    paths through depth + 1 distinct lists."""
+    a = ["leaf"]
+    for _ in range(depth):
+        a = [a, a]
+    return a
+
+
+class TestEnvelopeIsolation:
+    def test_shared_sub_values_are_walked_once(self):
+        def returns_shared(envelope):
+            return envelope.with_payload({"x": shared_lists(60)})
+
+        snapshot, bound = build_fn_units(("aa", 10, returns_shared))
+        box = {}
+
+        def dispatch():
+            env = make_envelope(EP, {"x": shared_lists(60)})
+            box["out"] = run_chain(snapshot, EP, env, ErrorPolicy.FAIL_OPEN, units=bound)
+
+        worker = threading.Thread(target=dispatch, daemon=True)
+        worker.start()
+        worker.join(5.0)  # a walk of every path would take centuries at depth 60
+        assert not worker.is_alive(), "dispatch still walking a payload of shared lists"
+        out = box["out"]
+        assert out.trace[0].outcome is Outcome.OK
+        x = out.payload["x"]
+        for _ in range(60):
+            assert x[0] is x[1]
+            x = x[0]
+        assert x == ["leaf"]
+
+    def test_keys_sharing_a_list_still_share_a_copy(self):
+        returned = {}
+
+        def shares(envelope):
+            tags = ["a", "b"]
+            returned["tags"] = tags
+            return envelope.with_payload({"first": tags, "second": tags})
+
+        snapshot, bound = build_fn_units(("aa", 10, shares))
+        out = run_chain(snapshot, EP, make_envelope(EP, {}), units=bound)
+        assert out.payload["first"] is out.payload["second"]
+        assert out.payload["first"] is not returned["tags"]
+        assert out.payload["first"] == ["a", "b"]
+
+    def test_no_unit_bound_returns_no_caller_object(self):
+        snapshot, bound = build([])
+        tags = ["x", "y"]
+        meta = {"inner": [1, 2]}
+        out = run_chain(snapshot, EP, make_envelope(EP, {"tags": tags, "meta": meta}), units=bound)
+        assert value_equal(out.payload, {"tags": ["x", "y"], "meta": {"inner": [1, 2]}})
+        assert out.payload["tags"] is not tags
+        assert out.payload["meta"] is not meta
+        assert out.payload["meta"]["inner"] is not meta["inner"]
+
+    def test_all_units_failing_open_returns_no_caller_object(self):
+        snapshot, bound = build(
+            [("aa", 10, Behavior(("fail", "one"))), ("bb", 20, Behavior(("fail", "two")))]
+        )
+        tags = ["x"]
+        out = run_chain(
+            snapshot, EP, make_envelope(EP, {"tags": tags}), ErrorPolicy.FAIL_OPEN, units=bound
+        )
+        assert [r.outcome for r in out.trace] == [Outcome.ERROR, Outcome.ERROR]
+        assert out.payload == {"tags": ["x"]}
+        assert out.payload["tags"] is not tags
+
+    def test_mutate_then_raise_leaves_envelope_unchanged(self):
+        seen = []
+
+        def vandal(envelope):
+            envelope.payload["rows"].append("vandal")
+            envelope.payload["rows"][0]["n"] = -1
+            envelope.payload["k"] = "vandal"
+            raise RuntimeError("after the damage")
+
+        def witness(envelope):
+            seen.append(value_equal(envelope.payload, {"k": "", "rows": [{"n": 1}]}))
+            payload = dict(envelope.payload)
+            payload["k"] = "w"
+            return envelope.with_payload(payload)
+
+        snapshot, bound = build_fn_units(("aa", 10, vandal), ("bb", 20, witness))
+        out = run_chain(
+            snapshot, EP, make_envelope(EP, {"k": "", "rows": [{"n": 1}]}),
+            ErrorPolicy.FAIL_OPEN, units=bound,
+        )
+        assert seen == [True]
+        assert value_equal(out.payload, {"k": "w", "rows": [{"n": 1}]})
+        assert [r.outcome for r in out.trace] == [Outcome.ERROR, Outcome.OK]
+
+    def test_kept_output_mutated_later_does_not_change_a_result(self):
+        kept = []
+
+        def keeper(envelope):
+            if kept:
+                kept[-1]["rows"].append("later")
+                kept[-1]["n"] = 99
+            payload = {"n": envelope.payload["n"], "rows": ["first"]}
+            kept.append(payload)
+            return envelope.with_payload(payload)
+
+        snapshot, bound = build_fn_units(("aa", 10, keeper))
+        first = run_chain(snapshot, EP, make_envelope(EP, {"n": 1}), units=bound)
+        run_chain(snapshot, EP, make_envelope(EP, {"n": 2}), units=bound)
+        assert value_equal(first.payload, {"n": 1, "rows": ["first"]})
+
+    def test_timed_out_unit_mutating_its_view_does_not_change_the_result(self):
+        mutated = threading.Event()
+
+        def sleeper(envelope):
+            time.sleep(0.2)
+            envelope.payload["rows"].append("late")
+            envelope.payload["k"] = "late"
+            mutated.set()
+            return envelope
+
+        snapshot, bound = build_fn_units(("aa", 10, sleeper))
+        out = run_chain(
+            snapshot, EP, make_envelope(EP, {"k": "", "rows": ["a"]}),
+            ErrorPolicy.FAIL_OPEN, units=bound, timeout_ms=50,
+        )
+        assert "timed out" in out.trace[0].error
+        assert mutated.wait(5.0)
+        assert value_equal(out.payload, {"k": "", "rows": ["a"]})
+
+    def test_ten_unit_dispatch_walks_the_payload_twenty_one_times(self, monkeypatch):
+        import copy
+
+        import scpa_host.chain as chain_mod
+        import scpa_host.contract as contract_mod
+
+        real_copy = contract_mod.copy_value_map
+        real_deepcopy = copy.deepcopy
+        walks = []
+        deepcopies = []
+
+        def counting_copy(value, path="payload"):
+            walks.append(path)
+            return real_copy(value, path)
+
+        def counting_deepcopy(*args, **kwargs):
+            deepcopies.append(args)
+            return real_deepcopy(*args, **kwargs)
+
+        monkeypatch.setattr(contract_mod, "copy_value_map", counting_copy)
+        monkeypatch.setattr(chain_mod, "copy_value_map", counting_copy)
+        monkeypatch.setattr(copy, "deepcopy", counting_deepcopy)
+        snapshot, bound = build(
+            [(f"u{i}", i, Behavior(("append", "k", str(i)))) for i in range(10)]
+        )
+        out = run_chain(
+            snapshot, EP, make_envelope(EP, {"k": "", "rows": [{"n": 1}]}), units=bound
+        )
+        assert out.payload["k"] == "0123456789"
+        assert deepcopies == []
+        assert walks.count("payload") == 2 * 10 + 1

@@ -25,7 +25,11 @@ from scpa_host.contract import (
     Outcome,
     STOP,
     Stop,
+    INT64_MAX,
+    INT64_MIN,
     UnitExecutionError,
+    ValueMapError,
+    copy_value_map,
     format_directive,
     make_envelope,
     parse_directive,
@@ -320,6 +324,153 @@ class TestValueMap:
         assert not value_equal({"k": "1"}, {"k": 1})
         assert value_equal({"k": [1, {"a": "b"}]}, {"k": [1, {"a": "b"}]})
         assert not value_equal({"k": [1]}, {"k": [1, 2]})
+
+
+scalars_st = st.one_of(
+    st.text(max_size=4),
+    st.integers(INT64_MIN, INT64_MAX),
+    st.floats(allow_nan=False),
+    st.booleans(),
+    st.binary(max_size=4),
+)
+keys_st = st.text(min_size=1, max_size=3)
+
+
+@st.composite
+def shared_value_maps(draw, depth=4):
+    """Value maps in which a finished list or map may appear again."""
+    pool = []
+
+    def value(depth):
+        kinds = ("scalar", "list", "map", "again") if depth else ("scalar", "again")
+        kind = draw(st.sampled_from(kinds))
+        if kind == "again" and pool:
+            return draw(st.sampled_from(pool))
+        if kind == "list":
+            made = [value(depth - 1) for _ in range(draw(st.integers(0, 3)))]
+        elif kind == "map":
+            made = mapping(depth - 1)
+        else:
+            return draw(scalars_st)
+        pool.append(made)
+        return made
+
+    def mapping(depth):
+        return {key: value(depth) for key in draw(st.lists(keys_st, max_size=3, unique=True))}
+
+    return mapping(depth)
+
+
+def containers(value):
+    """Every distinct list and map reachable from value."""
+    seen = {}
+    stack = [value]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, (dict, list)) and id(item) not in seen:
+            seen[id(item)] = item
+            stack.extend(item.values() if isinstance(item, dict) else item)
+    return list(seen.values())
+
+
+def container_pairs(original, copied, pairs):
+    """(original container, its counterpart in the copy), once per position."""
+    if isinstance(original, dict):
+        pairs.append((original, copied))
+        for key in original:
+            container_pairs(original[key], copied[key], pairs)
+    elif isinstance(original, list):
+        pairs.append((original, copied))
+        for a, b in zip(original, copied):
+            container_pairs(a, b, pairs)
+    return pairs
+
+
+BAD_VALUES = (None, 2**63, -(2**63) - 1, 1j, (), {1, 2}, object())
+BAD_KEYS = ("", 7, None, b"k", ("t",))
+
+
+@st.composite
+def invalid_value_maps(draw):
+    value = draw(shared_value_maps())
+    target = draw(st.sampled_from(containers(value)))
+    if isinstance(target, list):
+        target.insert(draw(st.integers(0, len(target))), draw(st.sampled_from(BAD_VALUES)))
+    elif draw(st.booleans()):
+        target[draw(st.sampled_from(BAD_KEYS))] = "fine"
+    else:
+        target[draw(keys_st)] = draw(st.sampled_from(BAD_VALUES))
+    return value
+
+
+def reference_error(value, path="payload"):
+    """Independent oracle: the first rule a depth-first walk finds broken."""
+    if not isinstance(value, dict):
+        return f"{path}: expected a mapping, got {type(value).__name__}"
+    for key, item in value.items():
+        if not isinstance(key, str) or not key:
+            return f"{path}: keys must be non-empty text, got {key!r}"
+        error = _reference_item_error(item, f"{path}.{key}")
+        if error:
+            return error
+    return None
+
+
+def _reference_item_error(value, path):
+    if isinstance(value, bool) or isinstance(value, (str, float, bytes)):
+        return None
+    if isinstance(value, int):
+        return None if INT64_MIN <= value <= INT64_MAX else f"{path}: integer outside 64-bit signed range"
+    if isinstance(value, list):
+        for i, item in enumerate(value):
+            error = _reference_item_error(item, f"{path}[{i}]")
+            if error:
+                return error
+        return None
+    if isinstance(value, dict):
+        return reference_error(value, path)
+    return f"{path}: unsupported value type {type(value).__name__}"
+
+
+class TestCopyValueMap:
+    @given(shared_value_maps())
+    @settings(max_examples=200, deadline=None)
+    def test_copy_is_equal_disjoint_and_keeps_sharing(self, value):
+        copied = copy_value_map(value)
+        assert value_equal(copied, value)
+        original_ids = {id(c) for c in containers(value)}
+        assert original_ids.isdisjoint(id(c) for c in containers(copied))
+        copy_of, original_of = {}, {}
+        for original, twin in container_pairs(value, copied, []):
+            assert copy_of.setdefault(id(original), twin) is twin
+            assert original_of.setdefault(id(twin), original) is original
+
+    @given(invalid_value_maps(), st.sampled_from(["payload", "annotations"]))
+    @settings(max_examples=200, deadline=None)
+    def test_invalid_maps_fail_with_the_same_message(self, value, path):
+        expected = reference_error(value, path)
+        assert expected is not None
+        with pytest.raises(ValueMapError) as copied:
+            copy_value_map(value, path)
+        with pytest.raises(ValueMapError) as validated:
+            validate_value_map(value, path)
+        assert str(copied.value) == str(validated.value) == expected
+
+    @pytest.mark.parametrize("value", [[], "x", None, (("k", 1),)])
+    def test_top_level_must_be_a_map(self, value):
+        with pytest.raises(ValueMapError, match="^annotations: expected a mapping"):
+            copy_value_map(value, "annotations")
+
+    def test_subclasses_become_plain_containers(self):
+        from collections import OrderedDict
+
+        class Tags(list):
+            def __iter__(self):
+                return iter(["forged"])
+
+        copied = copy_value_map({"m": OrderedDict(a=1), "t": Tags(["real"])})
+        assert type(copied["m"]) is dict and type(copied["t"]) is list
+        assert copied == {"m": {"a": 1}, "t": ["real"]}
 
 
 class TestDirectives:

@@ -7,7 +7,7 @@ from __future__ import annotations
 import copy  # noqa: F401  unused here; the benchmark's tracer rebinds chain.copy
 import threading
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable, Mapping, Sequence
 
@@ -25,7 +25,7 @@ from .contract import (
     format_directive,
     validate_value_map,  # noqa: F401  unused here; the benchmark's tracer rebinds it
 )
-from .registry import HandlerRef, RegistrySnapshot
+from .registry import HandlerRef, RegistrySnapshot, order_units
 
 DEFAULT_TIMEOUT_MS = 5000
 
@@ -76,16 +76,15 @@ class UnknownDivertTarget(DirectiveError):
 
 @dataclass
 class BoundUnit:
-    """A loaded unit instance plus its reentrancy gate (None when reentrant)."""
+    """A loaded unit instance plus its reentrancy gate (None when reentrant).
+
+    ``running`` holds the worker threads started on the unit that have not
+    returned yet, calls the chain gave up on after their timeout included.
+    """
 
     unit: PipelineUnit
     gate: threading.Lock | None = None
-
-
-def order_units(handlers: Sequence[HandlerRef]) -> list[HandlerRef]:
-    """Ascending (priority, unit name); handler name breaks ties when one
-    unit binds several handlers to the same extension point."""
-    return sorted(handlers, key=lambda h: (h.priority, h.unit, h.handler))
+    running: set[threading.Thread] = field(default_factory=set, compare=False, repr=False)
 
 
 def apply_directive(
@@ -136,6 +135,7 @@ def _call_unit(bound: BoundUnit, envelope: Envelope, timeout_s: float) -> _CallR
         gate = bound.gate
         if gate is not None and not gate.acquire(timeout=timeout_s):
             box["gate_timeout"] = True
+            bound.running.discard(worker)
             done.set()
             return
         try:
@@ -156,10 +156,16 @@ def _call_unit(bound: BoundUnit, envelope: Envelope, timeout_s: float) -> _CallR
         finally:
             if gate is not None:
                 gate.release()
+            bound.running.discard(worker)
             done.set()
 
     worker = threading.Thread(target=body, daemon=True, name="scpa-unit-call")
-    worker.start()
+    bound.running.add(worker)  # before start(): no running worker is ever missed
+    try:
+        worker.start()
+    except BaseException:
+        bound.running.discard(worker)
+        raise
     finished = done.wait(timeout_s)
     if not finished or "gate_timeout" in box:
         return _CallResult(ok=False, error=f"timed out after {int(timeout_s * 1000)} ms")
@@ -229,8 +235,8 @@ def run_chain(
                 payload = copy_value_map(result.envelope.payload)
                 annotations = copy_value_map(result.envelope.annotations, "annotations")
                 next_position = apply_directive(result.directive, position, order)
-            except (DirectiveError, ValueError, RecursionError) as exc:
-                error = f"{type(exc).__name__}: {exc}" if not isinstance(exc, DirectiveError) else str(exc)
+            except Exception as exc:  # e.g. a dict the handler still mutates elsewhere
+                error = str(exc) if isinstance(exc, DirectiveError) else f"{type(exc).__name__}: {exc}"
             if error is None:
                 env = replace(env, payload=payload, annotations=annotations)
                 finish(

@@ -163,13 +163,6 @@ class Manifest:
         ):
             raise BadValue("description", "must be a single line")
 
-    @property
-    def version_key(self) -> tuple[int, int, int]:
-        return parse_version(self.version)
-
-    def extension_points(self) -> tuple[str, ...]:
-        return tuple(b.extension_point for b in self.bindings)
-
 
 def _validate_payload_ref(ref: str) -> None:
     if not ref or ref != ref.strip():
@@ -431,7 +424,6 @@ def parse_directive(text: str) -> ChainDirective:
 class Outcome(str, Enum):
     OK = "ok"
     ERROR = "error"
-    SKIPPED = "skipped"
 
 
 @dataclass(frozen=True)

@@ -177,6 +177,8 @@ class Host:
         self._gate_lock = threading.Lock()
         self._world = _World(snapshot=EMPTY_SNAPSHOT, bound={})
         self._inflight: dict[tuple[str, str], int] = {}
+        # replaced BoundUnits: calls still running on one hold off its unload()
+        self._draining_bound: dict[tuple[str, str], BoundUnit] = {}
         self._stats: dict[tuple[str, str], _UnitStats] = {}
         self._stats_lock = threading.Lock()
         self._epoch_listeners: list[Callable[[SwapReport], None]] = []
@@ -282,7 +284,7 @@ class Host:
                     version = self._registry.active_version(name)
                     self._registry.deactivate(name)
                     deactivated.append((name, version or "?"))
-                    self._publish_world()
+                    self._publish_world(name, version)
 
             for name in sorted(desired):
                 discovery = desired[name]
@@ -316,7 +318,7 @@ class Host:
                 if current is not None:
                     deactivated.append((name, current))
                 activated.append((name, discovery.version))
-                self._publish_world()
+                self._publish_world(name, current)
 
             self._retire_drained()
             report = SwapReport(
@@ -334,21 +336,33 @@ class Host:
                     self.diag(f"ERROR epoch listener failed: {type(exc).__name__}: {exc}")
         return report
 
-    def _publish_world(self) -> None:
-        bound = {
-            name: BoundUnit(unit=entry.unit, gate=entry.gate)
-            for name, entry in self._registry.active_entries().items()
-        }
+    def _publish_world(self, name: str, replaced: str | None) -> None:
+        """Publish the registry's snapshot with ``name``'s BoundUnit rebuilt
+        (or dropped) and every other one carried over as the same object.
+        The ``replaced`` version's BoundUnit is kept until it retires."""
+        previous = self._world.bound
+        bound = dict(previous)
+        entry = self._registry.active_entry(name)
+        if entry is None:
+            bound.pop(name, None)
+        else:
+            bound[name] = BoundUnit(unit=entry.unit, gate=entry.gate)
+        if replaced is not None and name in previous:
+            self._draining_bound[(name, replaced)] = previous[name]
         world = _World(snapshot=self._registry.snapshot, bound=bound)
         with self._gate_lock:
             self._world = world
 
     def _retire_drained(self) -> None:
-        for name, version in sorted(self._registry.draining_versions()):
+        """Retire each draining version that no dispatch holds and no call,
+        not even one a dispatch gave up on, still runs on."""
+        for key in sorted(self._registry.draining_versions()):
             with self._gate_lock:
-                busy = self._inflight.get((name, version), 0) > 0
-            if not busy:
-                self._registry.retire_if_drained(name, version)
+                busy = self._inflight.get(key, 0) > 0
+            bound = self._draining_bound.get(key)
+            if not busy and (bound is None or not bound.running):
+                self._draining_bound.pop(key, None)
+                self._registry.retire_if_drained(*key)
 
     # -- dispatch ----------------------------------------------------------
 
@@ -383,20 +397,18 @@ class Host:
             self._record_stats(result.trace)
             return result.payload
         finally:
-            drained: list[tuple[str, str]] = []
+            drained = False
             with self._gate_lock:
                 for key in keys:
                     remaining = self._inflight.get(key, 1) - 1
                     if remaining <= 0:
                         self._inflight.pop(key, None)
-                        drained.append(key)
+                        drained = True
                     else:
                         self._inflight[key] = remaining
             if drained:
                 with self._writer_lock:
-                    for name, version in drained:
-                        if (name, version) in self._registry.draining_versions():
-                            self._registry.retire_if_drained(name, version)
+                    self._retire_drained()
 
     def _record_stats(self, trace: tuple[ExecutionRecord, ...]) -> None:
         with self._stats_lock:

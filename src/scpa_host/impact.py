@@ -137,10 +137,7 @@ def load_graph(text: str) -> DependencyGraph:
             edges.append((tokens[1], tokens[2]))
         else:
             raise GraphError(f"line {lineno}: expected 'node <id> <layer>' or 'edge <from> <to>'")
-    try:
-        return DependencyGraph(nodes, edges)
-    except GraphError:
-        raise
+    return DependencyGraph(nodes, edges)
 
 
 def rebuild_closure(graph: DependencyGraph, changed: str) -> set[str]:

@@ -131,31 +131,13 @@ class RegistrySnapshot:
         return {(h.unit, h.version) for refs in self.routes.values() for h in refs}
 
 
-def _build_snapshot(epoch: int, manifests: Iterable[Manifest]) -> RegistrySnapshot:
-    routes: dict[str, list[HandlerRef]] = {}
-    names: set[str] = set()
-    for manifest in manifests:
-        if manifest.name in names:
-            raise RegistryError(f"two versions of {manifest.name} in one snapshot")
-        names.add(manifest.name)
-        for binding in manifest.bindings:
-            routes.setdefault(binding.extension_point, []).append(
-                HandlerRef(
-                    unit=manifest.name,
-                    version=manifest.version,
-                    handler=binding.handler,
-                    priority=manifest.priority,
-                    reentrant=manifest.reentrant,
-                )
-            )
-    frozen = {
-        ep: tuple(sorted(refs, key=lambda h: (h.priority, h.unit, h.handler)))
-        for ep, refs in routes.items()
-    }
-    return RegistrySnapshot(epoch=epoch, routes=MappingProxyType(frozen))
+EMPTY_SNAPSHOT = RegistrySnapshot(epoch=0, routes=MappingProxyType({}))
 
 
-EMPTY_SNAPSHOT = _build_snapshot(0, ())
+def order_units(handlers: Iterable[HandlerRef]) -> list[HandlerRef]:
+    """Ascending (priority, unit name); handler name breaks ties when one
+    unit binds several handlers to the same extension point."""
+    return sorted(handlers, key=lambda h: (h.priority, h.unit, h.handler))
 
 
 @dataclass(frozen=True)
@@ -516,6 +498,9 @@ class Registry:
         entry = self._active.get(name)
         return entry.version if entry else None
 
+    def active_entry(self, name: str) -> _ActiveEntry | None:
+        return self._active.get(name)
+
     def active_entries(self) -> dict[str, _ActiveEntry]:
         return dict(self._active)
 
@@ -568,9 +553,27 @@ class Registry:
         ):
             self._new_record(discovery)
 
-    def _commit(self, reason: str) -> RegistrySnapshot:
-        manifests = [entry.manifest for entry in self._active.values()]
-        snapshot = _build_snapshot(self._snapshot.epoch + 1, manifests)
+    def _commit(
+        self, name: str, old: Manifest | None, new: Manifest | None, reason: str
+    ) -> RegistrySnapshot:
+        """Publish the next epoch with ``name``'s routes moved from manifest
+        ``old`` to ``new`` (either may be None).  Only the extension points
+        they bind are rebuilt; every other route is carried over as is."""
+        added: dict[str, list[HandlerRef]] = {}
+        if new is not None:
+            for b in new.bindings:
+                added.setdefault(b.extension_point, []).append(
+                    HandlerRef(name, new.version, b.handler, new.priority, new.reentrant)
+                )
+        touched = {b.extension_point for m in (old, new) if m is not None for b in m.bindings}
+        routes = dict(self._snapshot.routes)
+        for ep in touched:
+            refs = [h for h in routes.get(ep, ()) if h.unit != name] + added.get(ep, [])
+            if refs:
+                routes[ep] = tuple(order_units(refs))
+            else:
+                routes.pop(ep, None)
+        snapshot = RegistrySnapshot(self._snapshot.epoch + 1, MappingProxyType(routes))
         self._snapshot = snapshot
         if self._diag is not None:
             self._diag(f"EPOCH {snapshot.epoch} {reason}")
@@ -622,7 +625,9 @@ class Registry:
             unit=unit,
             gate=None if discovery.manifest.reentrant else threading.Lock(),
         )
-        return self._commit(reason or f"activate {discovery.name}@{discovery.version}")
+        old = previous.manifest if previous is not None else None
+        reason = reason or f"activate {discovery.name}@{discovery.version}"
+        return self._commit(discovery.name, old, discovery.manifest, reason)
 
     def deactivate(self, name: str, *, reason: str | None = None) -> RegistrySnapshot:
         """Remove the unit from the routes; its version drains until retired."""
@@ -631,7 +636,8 @@ class Registry:
             raise NotActive(name)
         self._transition(name, entry.version, UnitState.DRAINING, "deactivated")
         self._draining[(name, entry.version)] = entry.unit
-        return self._commit(reason or f"deactivate {name}@{entry.version}")
+        reason = reason or f"deactivate {name}@{entry.version}"
+        return self._commit(name, entry.manifest, None, reason)
 
     def rollback(self, name: str, candidates: Iterable[Discovery]) -> RegistrySnapshot:
         """Pin and activate the next-highest version below the active one.

@@ -1,6 +1,7 @@
 """Chain engine: ordering, directives, containment, traces, termination."""
 
 import itertools
+import sys
 import threading
 import time
 
@@ -247,6 +248,39 @@ class TestRunChain:
                 units=registry.bound(),
             )
         assert err.value.unit == "hh" and error in err.value.message
+
+    @pytest.mark.parametrize("policy", [ErrorPolicy.FAIL_OPEN, ErrorPolicy.FAIL_CLOSED])
+    def test_any_exception_copying_an_output_is_that_units_error(self, monkeypatch, policy):
+        import scpa_host.chain as chain_mod
+
+        real_copy = chain_mod.copy_value_map
+
+        def copy_racing_a_writer(value, path="payload"):
+            # what copying a map that another thread keeps growing raises
+            if isinstance(value, dict) and value.get("grown"):
+                raise RuntimeError("dictionary changed size during iteration")
+            return real_copy(value, path)
+
+        monkeypatch.setattr(chain_mod, "copy_value_map", copy_racing_a_writer)
+        snapshot, bound = build_fn_units(
+            ("aa", 10, lambda env: env.with_payload({**env.payload, "grown": True})),
+            ("bb", 20, lambda env: env.with_payload({**env.payload, "k": env.payload["k"] + "b"})),
+        )
+        env = make_envelope(EP, {"k": ""})
+        if policy is ErrorPolicy.FAIL_OPEN:
+            out = run_chain(snapshot, EP, env, policy, units=bound)
+            assert out.payload == {"k": "b"}
+            assert [(r.unit, r.outcome) for r in out.trace] == [
+                ("aa", Outcome.ERROR),
+                ("bb", Outcome.OK),
+            ]
+            assert out.trace[0].error == "RuntimeError: dictionary changed size during iteration"
+        else:
+            with pytest.raises(ChainError) as err:
+                run_chain(snapshot, EP, env, policy, units=bound)
+            assert err.value.unit == "aa"
+            assert err.value.message == "RuntimeError: dictionary changed size during iteration"
+            assert [(r.unit, r.outcome) for r in err.value.trace] == [("aa", Outcome.ERROR)]
 
     def test_unit_cannot_forge_envelope_identity(self):
         class Forger:
@@ -527,6 +561,39 @@ def shared_lists(depth):
     for _ in range(depth):
         a = [a, a]
     return a
+
+
+class TestRunningCalls:
+    def test_no_worker_is_left_counted_once_every_call_returns(self):
+        def sometimes_slow(envelope):
+            if envelope.payload["n"] % 3 == 0:
+                time.sleep(0.03)  # past the 10 ms budget: abandoned while it runs
+            return envelope
+
+        snapshot, bound = build_fn_units(("aa", 10, sometimes_slow))
+
+        def client(first):
+            for n in range(first, first + 25):
+                run_chain(
+                    snapshot, EP, make_envelope(EP, {"n": n}), ErrorPolicy.FAIL_OPEN,
+                    units=bound, timeout_ms=10,
+                )
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            clients = [threading.Thread(target=client, args=(i * 25,)) for i in range(8)]
+            for c in clients:
+                c.start()
+            for c in clients:
+                c.join(timeout=30)
+            assert not any(c.is_alive() for c in clients)
+        finally:
+            sys.setswitchinterval(interval)
+        deadline = time.monotonic() + 5
+        while bound["aa"].running and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert bound["aa"].running == set()
 
 
 class TestEnvelopeIsolation:

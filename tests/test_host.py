@@ -1,6 +1,7 @@
 """Host runtime: start/dispatch/status, hot-swap cycles, draining, restart."""
 
 import io
+import random
 import shutil
 import threading
 import time
@@ -10,7 +11,7 @@ import pytest
 
 from scpa_host.chain import ChainError, ErrorPolicy
 from scpa_host.host import Host, HostConfig, HostConfigError, load_host_config
-from scpa_host.registry import DropDirUnreadable, UnitState
+from scpa_host.registry import DropDirUnreadable, UnitState, write_pin
 
 from _util import write_bundle
 
@@ -418,6 +419,143 @@ class TestDraining:
             unloads = [float(t) for kind, t in events if kind == "unload"]
             assert len(unloads) == 1
             assert all(end < unloads[0] for end in execute_ends)
+        finally:
+            host.stop()
+
+    def test_timed_out_call_keeps_its_version_draining_until_it_returns(self, tmp_path):
+        host = make_host(tmp_path, error_policy=ErrorPolicy.FAIL_OPEN, unit_timeout_ms=50)
+        logging = (
+            "import time\n"
+            "from pathlib import Path\n"
+            "MARKS = None\n"
+            "def mark(event):\n"
+            "    with MARKS.open('a') as fh:\n"
+            "        fh.write(f'{{event}} {version}\\n')\n"
+            "def load(context):\n"
+            "    global MARKS\n"
+            "    MARKS = Path(context.data_dir) / 'marks.txt'\n"
+            "def handle(payload, context):\n"
+            "    mark('exec-start')\n"
+            "    time.sleep(0.6)\n"
+            "    mark('exec-end')\n"
+            "    return dict(payload)\n"
+            "def unload():\n"
+            "    mark('unload')\n"
+        )
+        drop = host.config.drop_dir
+        marks = drop / ".scpa" / "data" / "slow-unit" / "marks.txt"
+        write_bundle(drop, "slow-unit", "1.0.0", logging.format(version="1.0.0"), [("business", EP, "handle")])
+        host.start()
+        try:
+            host.dispatch(EP, {})  # gives up on the call after 50 ms; the handler runs on
+            write_bundle(drop, "slow-unit", "1.0.1", logging.format(version="1.0.1"), [("business", EP, "handle")])
+            assert host.hot_swap_cycle().activated == (("slow-unit", "1.0.1"),)
+            states = {(row.name, row.version): row.state for row in host.status().units}
+            assert states[("slow-unit", "1.0.0")] == "draining"
+            assert marks.read_text().splitlines() == ["exec-start 1.0.0"]
+
+            deadline = time.monotonic() + 5
+            while host.registry.record_state("slow-unit", "1.0.0") is UnitState.DRAINING:
+                assert time.monotonic() < deadline, "the abandoned call never let its version retire"
+                time.sleep(0.02)
+                host.hot_swap_cycle()
+            assert marks.read_text().splitlines() == [
+                "exec-start 1.0.0",
+                "exec-end 1.0.0",
+                "unload 1.0.0",
+            ]
+            assert host.registry.record_state("slow-unit", "1.0.0") is UnitState.RETIRED
+        finally:
+            host.stop()
+
+
+class TestIncrementalPublish:
+    def test_bound_units_follow_the_active_entries_and_untouched_ones_are_kept(self, tmp_path):
+        rng = random.Random(11)
+        host = make_host(tmp_path)
+        drop = host.config.drop_dir
+        names = ["unit-a", "unit-b", "unit-c", "unit-d"]
+        latest = {name: 0 for name in names}
+
+        def deploy(name):
+            latest[name] += 1
+            write_bundle(
+                drop, name, f"1.0.{latest[name]}", APPEND.format(stamp=name[-1]),
+                [("business", EP, "handle"), ("ui", "ui.things.show", "handle")],
+                priority=rng.choice([10, 20]), reentrant=rng.random() < 0.5,
+            )
+
+        for name in names:
+            deploy(name)
+        host.start()
+        try:
+            touched_total = 0
+            for _ in range(40):
+                before = dict(host._world.bound)
+                name = rng.choice(names)
+                versions = sorted(p.name for p in (drop / name).iterdir() if p.is_dir())
+                op = rng.choice(["deploy", "remove", "disable", "enable", "pin", "unpin"])
+                if op == "deploy" or not versions:
+                    deploy(name)
+                elif op == "remove":
+                    shutil.rmtree(drop / name / rng.choice(versions))
+                elif op == "disable":
+                    (drop / name / "disabled").touch()
+                elif op == "enable":
+                    (drop / name / "disabled").unlink(missing_ok=True)
+                elif op == "pin":
+                    write_pin(drop / name, rng.choice(versions))
+                else:
+                    (drop / name / "pin").unlink(missing_ok=True)
+                report = host.hot_swap_cycle()
+
+                world = host._world
+                entries = host.registry.active_entries()
+                touched = {n for n, _ in report.activated + report.deactivated}
+                touched_total += len(touched)
+                assert world.snapshot is host.registry.snapshot
+                assert world.bound.keys() == entries.keys()
+                for n, bound in world.bound.items():
+                    assert bound.unit is entries[n].unit
+                    assert bound.gate is entries[n].gate
+                    if n not in touched:
+                        assert bound is before[n]
+            assert touched_total > 10
+        finally:
+            host.stop()
+
+    def test_starting_over_n_bundles_builds_n_handler_refs_and_n_bound_units(
+        self, tmp_path, monkeypatch
+    ):
+        import scpa_host.host as host_mod
+        import scpa_host.registry as registry_mod
+
+        made = {"HandlerRef": 0, "BoundUnit": 0}
+
+        class CountingRef(registry_mod.HandlerRef):
+            def __init__(self, *args, **kwargs):
+                made["HandlerRef"] += 1
+                super().__init__(*args, **kwargs)
+
+        class CountingBound(host_mod.BoundUnit):
+            def __init__(self, *args, **kwargs):
+                made["BoundUnit"] += 1
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(registry_mod, "HandlerRef", CountingRef)
+        monkeypatch.setattr(host_mod, "BoundUnit", CountingBound)
+        host = make_host(tmp_path)
+        for i in range(100):
+            write_bundle(
+                host.config.drop_dir, f"unit-{i:03d}", "1.0.0", APPEND.format(stamp=str(i)),
+                [("business", f"business.unit{i}.run", "handle")],
+            )
+        host.start()
+        try:
+            assert len(host.registry.active_entries()) == 100
+            # one epoch per activation, each costing only its own unit's work
+            assert host.registry.snapshot.epoch == 100
+            assert made == {"HandlerRef": 100, "BoundUnit": 100}
         finally:
             host.stop()
 

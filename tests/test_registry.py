@@ -6,13 +6,26 @@ import random
 import shutil
 import time
 
+from types import MappingProxyType
+
 import pytest
 
 import scpa_host.registry as registry_mod
-from scpa_host.contract import Behavior, LoadReport, payload_checksum, reference_unit
+from scpa_host.contract import (
+    Behavior,
+    ChecksumMismatch,
+    Layer,
+    LayerBinding,
+    LoadReport,
+    Manifest,
+    parse_version,
+    payload_checksum,
+    reference_unit,
+)
 from scpa_host.registry import (
     Discovery,
     DropDirUnreadable,
+    HandlerRef,
     LoadFailed,
     MemoryPinStore,
     NoPriorVersion,
@@ -28,7 +41,7 @@ from scpa_host.registry import (
     write_pin,
 )
 
-from _util import MemoryRegistry, reference_manifest, write_bundle
+from _util import ZERO_CHECKSUM, MemoryRegistry, reference_manifest, write_bundle
 
 EP = "business.things.do"
 
@@ -628,3 +641,109 @@ class TestSnapshotInvariants:
                     assert new is UnitState.DISCOVERED
                 else:
                     assert (old, new) in LEGAL_TRANSITIONS, (name, version, old, new)
+
+
+class _IdleUnit:
+    def load(self, context):
+        return None
+
+
+def _random_manifest(rng: random.Random, name: str, version: str) -> Manifest:
+    """Several bindings over a few shared extension points; a point may be
+    bound in two layers, and priorities often tie."""
+    bindings = []
+    for ep in rng.sample(["business.a.run", "business.b.run", "ui.c.show", "data.d.load"], rng.randint(1, 3)):
+        for layer in rng.sample(list(Layer), rng.choice([1, 1, 2])):
+            bindings.append(LayerBinding(layer, ep, rng.choice(["handle", "alt", "zeta"])))
+    return Manifest(
+        name=name,
+        version=version,
+        priority=rng.choice([10, 20, 20]),
+        reentrant=rng.random() < 0.5,
+        bindings=tuple(bindings),
+        payload_ref="payload.py",
+        checksum=ZERO_CHECKSUM,
+    )
+
+
+def _routes_from_scratch(manifests) -> dict[str, tuple[HandlerRef, ...]]:
+    """Every binding of every active manifest, sorted once by (extension
+    point, priority, unit, handler) and then split by extension point."""
+    rows = sorted(
+        (b.extension_point, m.priority, m.name, b.handler, m.version, m.reentrant)
+        for m in manifests
+        for b in m.bindings
+    )
+    routes: dict[str, list[HandlerRef]] = {}
+    for ep, priority, unit, handler, version, reentrant in rows:
+        routes.setdefault(ep, []).append(HandlerRef(unit, version, handler, priority, reentrant))
+    return {ep: tuple(refs) for ep, refs in routes.items()}
+
+
+class TestIncrementalCommit:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_routes_equal_a_rebuild_from_scratch_after_every_step(self, seed):
+        rng = random.Random(seed)
+        names = ["aa", "bb", "cc", "dd", "ee"]
+        versions = ["1.0.0", "1.1.0", "2.0.0"]
+        discoveries = {
+            (n, v): Discovery(n, v, _random_manifest(rng, n, v)) for n in names for v in versions
+        }
+        broken = set(rng.sample(sorted(discoveries), 3))  # load raises: Failed
+        tampered = set(rng.sample(sorted(discoveries), 3))  # first load sees changed bytes
+
+        def factory(discovery, context):
+            key = (discovery.name, discovery.version)
+            outcomes["load"] += 1
+            if key in broken:
+                raise RuntimeError("import exploded")
+            if key in tampered:
+                tampered.discard(key)
+                raise ChecksumMismatch(expected=ZERO_CHECKSUM, actual="1" * 64)
+            return _IdleUnit()
+
+        registry = Registry(factory, pin_store=MemoryPinStore())
+        active: dict[str, Manifest] = {}  # the test's own model of what is active
+        history = []
+        outcomes = {"load": 0, "commit": 0, "failed-load": 0, "rollback": 0}
+        for _ in range(150):
+            before, loads = registry.snapshot, outcomes["load"]
+            op = rng.choice(["activate"] * 3 + ["deactivate"] + ["rollback", "retire"] * 2)
+            name = rng.choice(names)
+            try:
+                if op == "activate":
+                    discovery = discoveries[(name, rng.choice(versions))]
+                    registry.activate(discovery)
+                    active[name] = discovery.manifest
+                elif op == "deactivate":
+                    registry.deactivate(name)
+                    del active[name]
+                elif op == "rollback":
+                    current = parse_version(active[name].version) if name in active else None
+                    registry.rollback(name, [discoveries[(name, v)] for v in versions])
+                    target = max((v for v in versions if parse_version(v) < current), key=parse_version)
+                    active[name] = discoveries[(name, target)].manifest
+                    outcomes["rollback"] += 1
+                else:
+                    for version in versions:
+                        registry.retire_if_drained(name, version)
+            except (LoadFailed, NotActive, NoPriorVersion):
+                committed = False
+            else:
+                committed = op != "retire"
+
+            snapshot = registry.snapshot
+            if outcomes["load"] > loads and not committed:
+                outcomes["failed-load"] += 1
+            if committed:
+                outcomes["commit"] += 1
+                assert snapshot.epoch == before.epoch + 1
+            else:
+                assert snapshot is before
+            assert isinstance(snapshot.routes, MappingProxyType)
+            assert dict(snapshot.routes) == _routes_from_scratch(active.values())
+            history.append((snapshot, dict(snapshot.routes)))
+
+        for snapshot, routes in history:  # no later commit touched an earlier snapshot
+            assert dict(snapshot.routes) == routes
+        assert all(outcomes.values()), outcomes

@@ -4,6 +4,7 @@ draining, concurrent dispatch against pinned snapshots, and per-unit stats.
 
 from __future__ import annotations
 
+import operator
 import threading
 import time
 from dataclasses import dataclass
@@ -148,6 +149,34 @@ class _World:
     bound: Mapping[str, BoundUnit]
 
 
+@dataclass(frozen=True)
+class _Resolved:
+    """One unit's version choice on a tick, reused on a later tick that scans
+    the identical Discovery objects and pin.  Holding the objects keeps
+    their identities from passing to new ones."""
+
+    discoveries: list[Discovery]
+    pin: str | None
+    choice: Discovery | PinMissing
+
+    def holds_for(self, discoveries: list[Discovery], pin: str | None) -> bool:
+        return (
+            self.pin == pin
+            and len(self.discoveries) == len(discoveries)
+            and all(map(operator.is_, self.discoveries, discoveries))
+        )
+
+
+def _resolve(name: str, discoveries: list[Discovery], pin: str | None) -> Discovery | PinMissing:
+    try:
+        version = resolve_active(
+            name, [d.version for d in discoveries], VersionPin(name, pin) if pin else None
+        )
+    except PinMissing as exc:
+        return exc
+    return next(d for d in discoveries if d.version == version)
+
+
 @dataclass
 class _UnitStats:
     dispatches: int = 0
@@ -173,6 +202,7 @@ class Host:
             diag=self.diag,
         )
         self._scan_cache: ScanCache = {}
+        self._resolved: dict[str, _Resolved] = {}
         self._writer_lock = threading.RLock()
         self._gate_lock = threading.Lock()
         self._world = _World(snapshot=EMPTY_SNAPSHOT, bound={})
@@ -259,32 +289,32 @@ class Host:
 
             desired: dict[str, Discovery] = {}
             blocked: set[str] = set()
+            resolved: dict[str, _Resolved] = {}
             for name, discoveries in by_name.items():
                 if name in result.disabled:
                     continue
                 pin = result.pins.get(name)
-                try:
-                    version = resolve_active(
-                        name,
-                        [d.version for d in discoveries],
-                        VersionPin(name, pin) if pin else None,
-                    )
-                except PinMissing as exc:
+                memo = self._resolved.get(name)
+                if memo is None or not memo.holds_for(discoveries, pin):
+                    memo = _Resolved(discoveries, pin, _resolve(name, discoveries, pin))
+                resolved[name] = memo
+                choice = memo.choice
+                if isinstance(choice, PinMissing):
                     # keep whatever is active rather than guessing a version
-                    self.diag(f"REJECT {self.config.drop_dir / name} pin-missing {exc}")
+                    self.diag(f"REJECT {self.config.drop_dir / name} pin-missing {choice}")
                     blocked.add(name)
-                    continue
-                desired[name] = next(d for d in discoveries if d.version == version)
+                else:
+                    desired[name] = choice
+            self._resolved = resolved
 
             activated: list[tuple[str, str]] = []
             deactivated: list[tuple[str, str]] = []
 
-            for name in sorted(self._registry.active_entries()):
-                if name not in desired and name not in blocked:
-                    version = self._registry.active_version(name)
-                    self._registry.deactivate(name)
-                    deactivated.append((name, version or "?"))
-                    self._publish_world(name, version)
+            for name in sorted(self._registry.active_names() - desired.keys() - blocked):
+                version = self._registry.active_version(name)
+                self._registry.deactivate(name)
+                deactivated.append((name, version or "?"))
+                self._publish_world(name, version)
 
             for name in sorted(desired):
                 discovery = desired[name]

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Protocol
+from typing import Callable, Iterable, KeysView, Mapping, Protocol
 
 from .contract import (
     HOST_VERSION,
@@ -198,12 +198,24 @@ def write_pin(unit_dir: Path, version: str) -> None:
 
 
 RACY_WINDOW_NS = 2_000_000_000
-"""A cached fingerprint is trusted only when the file's ctime is at least this
-much older than the start of the scan that cached it (git's racy-clean rule).
-File timestamps advance once per kernel tick, so a same-size rewrite within
-one tick of the previous write leaves the fingerprint unchanged."""
+"""A cached fingerprint is trusted only when the file's or directory's ctime
+is at least this much older than the start of the scan that cached it (git's
+racy-clean rule).  Timestamps advance once per kernel tick, so a same-size
+rewrite, or a directory entry added, within one tick of the previous change
+leaves the fingerprint unchanged."""
 
 Fingerprint = tuple[int, int, int, int, int]
+
+
+@dataclass(frozen=True)
+class _CachedListing:
+    """What one scan learned by listing a directory: its non-hidden
+    subdirectories in name order and the names of all its entries, and the
+    directory's stat fingerprint, taken before the listing."""
+
+    directory: Fingerprint
+    subdirs: tuple[str, ...]
+    names: frozenset[str]
 
 
 @dataclass(frozen=True)
@@ -217,8 +229,9 @@ class _CachedBundle:
     outcome: Discovery | Reject
 
 
-ScanCache = dict[str, _CachedBundle]
-"""Version directory path -> the cached result of examining it."""
+ScanCache = dict[str, "_CachedListing | _CachedBundle"]
+"""Path -> what a scan learned there: the listing of the drop directory and
+of each unit directory, the examined bundle of each version directory."""
 
 
 def _stat(path: str) -> os.stat_result | None:
@@ -234,36 +247,52 @@ def _fingerprint(st: os.stat_result | None) -> Fingerprint | None:
     return (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns)
 
 
+def _settled(fp: Fingerprint | None, scan_started_ns: int) -> bool:
+    """Whether any later change to what ``fp`` describes must change its
+    fingerprint: its ctime is outside the racy window of the scan."""
+    return fp is None or fp[4] <= scan_started_ns - RACY_WINDOW_NS  # fp[4] is st_ctime_ns
+
+
 def _read(path: str) -> bytes:
     with open(path, "rb") as fh:
         return fh.read()
 
 
-def _list_dir(path: str) -> tuple[list[os.DirEntry], set[str]]:
-    """The non-hidden subdirectories of ``path`` in name order, and the names
-    of all its entries."""
-    names: set[str] = set()
-    subdirs: list[os.DirEntry] = []
+def _list_dir(path: str, cache: ScanCache | None, started_ns: int) -> _CachedListing:
+    """The listing of directory ``path``, reused from ``cache`` while the
+    directory keeps the stat fingerprint it had when it was listed.  Raises
+    OSError when the directory cannot be listed."""
+    fingerprint = _fingerprint(os.stat(path))
+    cached = cache.get(path) if cache is not None else None
+    if isinstance(cached, _CachedListing) and cached.directory == fingerprint:
+        return cached
+    names: list[str] = []
+    subdirs: list[str] = []
+    trusted = _settled(fingerprint, started_ns)
     with os.scandir(path) as entries:
         for entry in entries:
-            names.add(entry.name)
-            if entry.name.startswith("."):
-                continue
+            names.append(entry.name)
             try:
-                is_dir = entry.is_dir()
+                if entry.is_symlink():
+                    trusted = False  # its target can change without touching this directory
+                if not entry.name.startswith(".") and entry.is_dir():
+                    subdirs.append(entry.name)
             except OSError:
-                continue
-            if is_dir:
-                subdirs.append(entry)
-    subdirs.sort(key=lambda e: e.name)
-    return subdirs, names
+                trusted = False
+    subdirs.sort()
+    listing = _CachedListing(fingerprint, tuple(subdirs), frozenset(names))
+    if cache is not None:
+        if trusted:
+            cache[path] = listing
+        else:
+            cache.pop(path, None)
+    return listing
 
 
 def _examine(
-    unit_name: str, version_dir: os.DirEntry, manifest_st: os.stat_result | None
+    unit_name: str, path: str, version: str, manifest_st: os.stat_result | None
 ) -> _CachedBundle:
-    """Read, parse and verify one version directory."""
-    path = version_dir.path
+    """Read, parse and verify the version directory ``path``."""
     manifest_fp = _fingerprint(manifest_st)
 
     def rejected(code: str, detail: str, payload_ref=None, payload_fp=None) -> _CachedBundle:
@@ -281,10 +310,10 @@ def _examine(
         manifest = parse_manifest(text)
     except ManifestError as exc:
         return rejected("bad-manifest", str(exc))
-    if manifest.name != unit_name or manifest.version != version_dir.name:
+    if manifest.name != unit_name or manifest.version != version:
         return rejected(
             "name-version-mismatch",
-            f"directory says {unit_name}/{version_dir.name}, "
+            f"directory says {unit_name}/{version}, "
             f"manifest says {manifest.name}/{manifest.version}",
         )
     payload_path = f"{path}/{manifest.payload_ref}"
@@ -306,9 +335,11 @@ def _examine(
 
 
 def _unchanged(
-    cached: _CachedBundle | None, version_path: str, manifest_fp: Fingerprint | None
+    cached: _CachedListing | _CachedBundle | None,
+    version_path: str,
+    manifest_fp: Fingerprint | None,
 ) -> bool:
-    if cached is None or cached.manifest != manifest_fp:
+    if not isinstance(cached, _CachedBundle) or cached.manifest != manifest_fp:
         return False
     if cached.payload_ref is None:
         return True
@@ -319,10 +350,7 @@ def _trusted(cached: _CachedBundle, scan_started_ns: int) -> bool:
     """Whether a later scan may reuse ``cached`` on an equal fingerprint."""
     if isinstance(cached.outcome, Reject) and cached.outcome.code == "unreadable":
         return False  # a read error may be transient: retry it on the next scan
-    newest_trusted = scan_started_ns - RACY_WINDOW_NS
-    return all(  # fp[4] is st_ctime_ns
-        fp is None or fp[4] <= newest_trusted for fp in (cached.manifest, cached.payload)
-    )
+    return _settled(cached.manifest, scan_started_ns) and _settled(cached.payload, scan_started_ns)
 
 
 def scan(
@@ -336,19 +364,22 @@ def scan(
     in rejects with a reason code.  Only an unreadable drop dir is an error.
 
     With a ``cache`` (kept by the caller from one scan to the next), a
-    version directory whose manifest and payload have the stat fingerprints
-    seen before costs two ``stat`` calls: its earlier discovery or reject is
-    reused without reading, parsing or hashing.  Entries of directories that
-    are gone are dropped from the cache.
+    directory whose stat fingerprint is the one seen when it was last listed
+    is not listed again, and a version directory whose manifest and payload
+    have the fingerprints seen before reuses its earlier discovery or reject
+    without reading, parsing or hashing.  An unchanged tree thus costs one
+    ``stat`` per directory and two per version; a ``pin`` file is still read
+    on every scan, since rewriting it in place leaves its directory as it
+    was.  Entries of paths that are gone are dropped from the cache.
     """
     base = os.fspath(Path(drop_dir))
+    started_ns = time.time_ns()
     try:
-        unit_dirs, _ = _list_dir(base)
+        unit_names = _list_dir(base, cache, started_ns).subdirs
     except OSError:
         raise DropDirUnreadable(Path(drop_dir)) from None
     prefix = "" if base == "." else os.path.join(base, "")
-    started_ns = time.time_ns()
-    seen: set[str] = set()
+    seen = {base}
     result = ScanResult()
 
     def reject(found: Reject) -> None:
@@ -356,26 +387,26 @@ def scan(
         if diag is not None:
             diag(f"REJECT {found.path} {found.code} {found.detail}")
 
-    for unit_entry in unit_dirs:
-        unit_name = unit_entry.name
+    for unit_name in unit_names:
         unit_path = prefix + unit_name
         try:
-            version_dirs, names = _list_dir(unit_path)
+            listing = _list_dir(unit_path, cache, started_ns)
         except OSError as exc:
             reject(Reject(unit_path, "unreadable", f"cannot list unit directory: {exc.strerror}"))
             continue
-        if DISABLED_FILENAME in names:
+        seen.add(unit_path)
+        if DISABLED_FILENAME in listing.names:
             result.disabled.add(unit_name)
-        if PIN_FILENAME in names:
+        if PIN_FILENAME in listing.names:
             pin = read_pin(Path(unit_path))
             if pin is not None:
                 result.pins[unit_name] = pin
-        for version_dir in version_dirs:
-            path = version_dir.path
+        for version in listing.subdirs:
+            path = f"{unit_path}/{version}"
             manifest_st = _stat(f"{path}/{MANIFEST_FILENAME}")
             cached = cache.get(path) if cache is not None else None
             if not _unchanged(cached, path, _fingerprint(manifest_st)):
-                cached = _examine(unit_name, version_dir, manifest_st)
+                cached = _examine(unit_name, path, version, manifest_st)
                 if cache is not None:
                     if _trusted(cached, started_ns):
                         cache[path] = cached
@@ -503,6 +534,10 @@ class Registry:
 
     def active_entries(self) -> dict[str, _ActiveEntry]:
         return dict(self._active)
+
+    def active_names(self) -> KeysView[str]:
+        """A live view of the active unit names: copy it before a mutation."""
+        return self._active.keys()
 
     def record_state(self, name: str, version: str) -> UnitState | None:
         record = self._records.get((name, version))

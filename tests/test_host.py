@@ -560,6 +560,133 @@ class TestIncrementalPublish:
             host.stop()
 
 
+
+class TestIdleTick:
+    """Ticks over a tree whose scan results are cached (racy window 0)."""
+
+    @pytest.fixture(autouse=True)
+    def no_racy_window(self, monkeypatch):
+        import scpa_host.registry as registry_mod
+
+        monkeypatch.setattr(registry_mod, "RACY_WINDOW_NS", 0)
+
+    def test_idle_ticks_resolve_no_version(self, tmp_path, monkeypatch):
+        import scpa_host.host as host_mod
+        import scpa_host.registry as registry_mod
+
+        host = make_host(tmp_path)
+        drop = host.config.drop_dir
+        for name, version in [("unit-a", "1.0.0"), ("unit-b", "1.0.0"), ("unit-b", "1.2.0"), ("unit-c", "2.0.0")]:
+            write_bundle(drop, name, version, APPEND.format(stamp=name[-1]), [("business", EP, "handle")])
+        (drop / "unit-c" / "disabled").touch()
+        host.start()
+        calls = {"resolve_active": 0, "parse_version": 0}
+        for module, name in [(host_mod, "resolve_active"), (registry_mod, "parse_version")]:
+            def counting(*args, _real=getattr(module, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counting)
+        try:
+            for _ in range(20):
+                assert not host.hot_swap_cycle().changed
+            assert calls == {"resolve_active": 0, "parse_version": 0}
+            assert host.dispatch(EP, {"log": ""}) == {"log": "ab"}
+            # the memo follows the files: a new version is resolved and activated
+            write_bundle(drop, "unit-a", "1.1.0", APPEND.format(stamp="A"), [("business", EP, "handle")])
+            assert host.hot_swap_cycle().activated == (("unit-a", "1.1.0"),)
+            assert calls["resolve_active"] == 1
+        finally:
+            host.stop()
+
+    def test_missing_pin_is_reported_on_every_tick_and_the_active_version_runs_on(self, tmp_path):
+        stream = io.StringIO()
+        host = make_host(tmp_path, diagnostics=stream)
+        drop = host.config.drop_dir
+        write_bundle(drop, "unit-a", "1.0.0", APPEND.format(stamp="a"), [("business", EP, "handle")])
+        host.start()
+        try:
+            write_pin(drop / "unit-a", "9.0.0")
+            for tick in range(1, 4):
+                report = host.hot_swap_cycle()
+                assert (report.activated, report.deactivated) == ((), ())
+                lines = [l for l in stream.getvalue().splitlines() if " pin-missing " in l]
+                assert len(lines) == tick
+                assert lines[-1].startswith(f"REJECT {drop / 'unit-a'} pin-missing ")
+                assert host.registry.active_version("unit-a") == "1.0.0"
+                assert host.dispatch(EP, {"log": ""}) == {"log": "a"}
+        finally:
+            host.stop()
+
+    def test_flip_back_to_a_draining_version_activates_on_the_first_tick_after_it_retires(self, tmp_path):
+        stream = io.StringIO()
+        host = make_host(tmp_path, diagnostics=stream, error_policy=ErrorPolicy.FAIL_OPEN, unit_timeout_ms=10_000)
+        drop = host.config.drop_dir
+        entered, release = tmp_path / "entered", tmp_path / "release"
+        held = (
+            "import time\n"
+            "from pathlib import Path\n"
+            "def handle(payload, context):\n"
+            f"    Path({str(entered)!r}).touch()\n"
+            "    deadline = time.monotonic() + 10\n"
+            f"    while not Path({str(release)!r}).exists() and time.monotonic() < deadline:\n"
+            "        time.sleep(0.01)\n"
+            "    return dict(payload, log='old')\n"
+        )
+        write_bundle(drop, "unit-a", "1.0.0", held, [("business", EP, "handle")])
+        host.start()
+        worker = threading.Thread(target=lambda: host.dispatch(EP, {}))
+        try:
+            worker.start()
+            deadline = time.monotonic() + 5
+            while not entered.exists():
+                assert time.monotonic() < deadline, "the dispatch never reached the handler"
+                time.sleep(0.01)
+            write_bundle(drop, "unit-a", "1.1.0", APPEND.format(stamp="new"), [("business", EP, "handle")])
+            assert host.hot_swap_cycle().activated == (("unit-a", "1.1.0"),)
+            write_pin(drop / "unit-a", "1.0.0")
+            for _ in range(2):
+                assert host.hot_swap_cycle().activated == ()
+                assert host.registry.record_state("unit-a", "1.0.0") is UnitState.DRAINING
+            assert stream.getvalue().count(" still-draining ") == 2
+
+            release.touch()
+            worker.join(timeout=5)
+            assert not worker.is_alive()
+            assert host.registry.record_state("unit-a", "1.0.0") is UnitState.RETIRED
+            report = host.hot_swap_cycle()
+            assert report.activated == (("unit-a", "1.0.0"),)
+            assert report.deactivated == (("unit-a", "1.1.0"),)
+            assert host.dispatch(EP, {})["log"] == "old"
+        finally:
+            release.touch()
+            worker.join(timeout=5)
+            host.stop()
+
+    def test_unchanged_failed_version_is_never_retried(self, tmp_path, monkeypatch):
+        import scpa_host.host as host_mod
+
+        loads = []
+        real_factory = host_mod.payload_unit_factory
+
+        def counting_factory(discovery, context):
+            loads.append((discovery.name, discovery.version))
+            return real_factory(discovery, context)
+
+        monkeypatch.setattr(host_mod, "payload_unit_factory", counting_factory)
+        stream = io.StringIO()
+        host = make_host(tmp_path, diagnostics=stream)
+        write_bundle(host.config.drop_dir, "unit-a", "1.0.0", "raise ImportError('no such thing')\n", [("business", EP, "handle")])
+        host.start()
+        try:
+            for _ in range(10):
+                assert not host.hot_swap_cycle().changed
+            assert loads == [("unit-a", "1.0.0")]
+            assert host.registry.record_state("unit-a", "1.0.0") is UnitState.FAILED
+            assert stream.getvalue().count(" load-failed ") == 1
+        finally:
+            host.stop()
+
 class TestRestartEquivalence:
     def test_routes_identical_after_restart(self, tmp_path):
         host = make_host(tmp_path)

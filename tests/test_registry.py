@@ -1,5 +1,6 @@
 """Registry: scan, lifecycle state machine, snapshots, pins, rollback."""
 
+import argparse
 import itertools
 import os
 import random
@@ -10,6 +11,7 @@ from types import MappingProxyType
 
 import pytest
 
+import scpa_host.cli as cli
 import scpa_host.registry as registry_mod
 from scpa_host.contract import (
     Behavior,
@@ -150,7 +152,7 @@ class TestScan:
         assert [(r.code, r.detail) for r in result.rejects] == [
             ("unreadable", "cannot read manifest.scpa: Permission denied")
         ]
-        assert cache == {}  # a read error may be transient: the next scan retries
+        assert _version_entries(cache) == []  # a read error may be transient: the next scan retries
 
     def test_unit_directory_removed_after_listing_is_a_reject(self, tmp_path, monkeypatch):
         write_bundle(tmp_path, "unit-a", "1.0.0", OK_PAYLOAD, BINDINGS)
@@ -177,6 +179,11 @@ class TestScan:
         assert [(r.path, r.code) for r in result.rejects] == [(str(tmp_path / "unit-a"), "unreadable")]
 
 
+def _version_entries(cache):
+    """The version directories a scan cache holds a bundle result for."""
+    return sorted(path for path, entry in cache.items() if isinstance(entry, registry_mod._CachedBundle))
+
+
 def _wait_for_next_timestamp_tick():
     """Let file timestamps move on, so the next write changes a fingerprint."""
     time.sleep(0.05)
@@ -197,7 +204,7 @@ class TestScanCache:
             monkeypatch.setattr(registry_mod, name, counting)
         return counts
 
-    def test_unchanged_tree_costs_one_listing_per_unit_and_two_stats_per_version(
+    def test_unchanged_tree_costs_one_stat_per_directory_and_two_per_version(
         self, tmp_path, monkeypatch, calls
     ):
         monkeypatch.setattr(registry_mod, "RACY_WINDOW_NS", 0)
@@ -218,8 +225,8 @@ class TestScanCache:
             m.setattr(os, "scandir", lambda path: listings.append(path) or real_scandir(path))
             second = scan(tmp_path, cache=cache)
         assert calls == {}
-        assert len(listings) == 1 + 3
-        assert len(stats) == 2 * 4
+        assert listings == []
+        assert len(stats) == 1 + 3 + 2 * 4  # drop dir, unit dirs, manifest and payload per version
         assert second == first
 
     def test_same_size_rewrite_right_after_a_scan_is_caught(self, tmp_path, monkeypatch):
@@ -262,10 +269,10 @@ class TestScanCache:
         newer = write_bundle(tmp_path, "unit-a", "1.1.0", OK_PAYLOAD, BINDINGS)
         cache = {}
         scan(tmp_path, cache=cache)
-        assert sorted(cache) == [str(tmp_path / "unit-a" / v) for v in ("1.0.0", "1.1.0")]
+        assert _version_entries(cache) == [str(tmp_path / "unit-a" / v) for v in ("1.0.0", "1.1.0")]
         shutil.rmtree(newer)
         assert [d.version for d in scan(tmp_path, cache=cache).discoveries] == ["1.0.0"]
-        assert sorted(cache) == [str(tmp_path / "unit-a" / "1.0.0")]
+        assert _version_entries(cache) == [str(tmp_path / "unit-a" / "1.0.0")]
 
     def test_cached_reject_is_reported_on_every_scan(self, tmp_path, monkeypatch, calls):
         monkeypatch.setattr(registry_mod, "RACY_WINDOW_NS", 0)
@@ -307,6 +314,122 @@ class TestScanCache:
             _wait_for_next_timestamp_tick()
             edit()
             assert scan(tmp_path, cache=cache) == scan(tmp_path)
+
+    def test_version_added_right_after_a_scan_is_caught(self, tmp_path, monkeypatch):
+        write_bundle(tmp_path, "unit-a", "1.0.0", OK_PAYLOAD, BINDINGS)
+        unit_dir = tmp_path / "unit-a"
+        real_stat = os.stat
+
+        def scan_add_scan(cache):
+            assert [d.version for d in scan(tmp_path, cache=cache).discoveries] == ["1.0.0"]
+            before = real_stat(unit_dir)
+            write_bundle(tmp_path, "unit-a", "1.1.0", OK_PAYLOAD, BINDINGS)
+            # an entry added within one timestamp tick leaves the directory's fingerprint as it was
+            with monkeypatch.context() as m:
+                m.setattr(
+                    os, "stat",
+                    lambda path, *a, **k: before if path == str(unit_dir) else real_stat(path, *a, **k),
+                )
+                return [d.version for d in scan(tmp_path, cache=cache).discoveries]
+
+        assert scan_add_scan({}) == ["1.0.0", "1.1.0"]
+
+        # what the racy window guards against: with none, the stale listing is served
+        shutil.rmtree(unit_dir / "1.1.0")
+        monkeypatch.setattr(registry_mod, "RACY_WINDOW_NS", 0)
+        assert scan_add_scan({}) == ["1.0.0"]
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_cached_scan_equals_uncached_scan_after_random_edits(self, tmp_path, monkeypatch, seed):
+        monkeypatch.setattr(registry_mod, "RACY_WINDOW_NS", 0)
+        rng = random.Random(seed)
+        drop = tmp_path / "drop"
+        sources = tmp_path / "sources"  # bundles to deploy and symlink targets live outside the drop dir
+        drop.mkdir()
+        sources.mkdir()
+        names = ["unit-a", "unit-b", "unit-c"]
+        counter = itertools.count(1)
+
+        def payload():
+            return f"def handle(payload, context):\n    return dict(payload, n={next(counter)})\n"
+
+        def versions(name):
+            if not (drop / name).is_dir():
+                return []
+            return sorted(p.name for p in (drop / name).iterdir() if p.is_dir() and not p.name.startswith("."))
+
+        def add_version(name):
+            write_bundle(drop, name, f"1.{next(counter)}.0", payload(), BINDINGS)
+
+        def remove_version(name):
+            if versions(name):
+                target = drop / name / rng.choice(versions(name))
+                if target.is_symlink():
+                    target.unlink()
+                else:
+                    shutil.rmtree(target)
+
+        def replace_unit_dir(name):
+            staged = write_bundle(sources / "staged", name, f"2.{next(counter)}.0", payload(), BINDINGS).parent
+            (staged / f"2.{next(counter)}.0").mkdir()  # a version directory without a manifest
+            if (drop / name).exists():
+                os.rename(drop / name, sources / "old")
+                shutil.rmtree(sources / "old")
+            os.rename(staged, drop / name)
+
+        def toggle_disabled(name):
+            marker = drop / name / "disabled"
+            if marker.exists():
+                marker.unlink()
+            elif marker.parent.is_dir():
+                marker.touch()
+
+        def pin_via_write_pin(name):
+            if versions(name):
+                write_pin(drop / name, rng.choice(versions(name) + ["9.9.9"]))
+
+        def pin_in_place(name):
+            pin = drop / name / "pin"
+            if pin.exists():
+                with open(pin, "r+") as fh:  # same directory, same inode
+                    fh.write(f"pin: {rng.choice(versions(name) + ['9.9.9'])}\n")
+                    fh.truncate()
+
+        def rewrite_payload_in_place(name):
+            bundles = [v for v in versions(name) if (drop / name / v / "payload.py").exists()]
+            if bundles:
+                with open(drop / name / rng.choice(bundles) / "payload.py", "r+b") as fh:
+                    fh.write(payload().encode())
+                    fh.truncate()
+
+        def deploy_with_cli(name):
+            bundle = write_bundle(sources / "deploy", name, f"3.{next(counter)}.0", payload(), BINDINGS)
+            assert cli.cmd_deploy(argparse.Namespace(bundle=bundle, drop_dir=drop)) == 0
+
+        def add_symlinked_version(name):
+            version = f"4.{next(counter)}.0"
+            target = write_bundle(sources / "linked", name, version, payload(), BINDINGS)
+            (drop / name).mkdir(exist_ok=True)
+            os.symlink(target, drop / name / version)
+
+        def delete_a_symlink_target(name):
+            linked = sources / "linked" / name
+            if linked.is_dir() and any(linked.iterdir()):
+                shutil.rmtree(rng.choice(sorted(linked.iterdir())))
+
+        edits = [
+            add_version, remove_version, replace_unit_dir, toggle_disabled, pin_via_write_pin,
+            pin_in_place, rewrite_payload_in_place, deploy_with_cli, add_symlinked_version,
+            delete_a_symlink_target,
+        ]
+        cache = {}
+        for name in names:
+            add_version(name)
+        assert scan(drop, cache=cache) == scan(drop)
+        for _ in range(60):
+            _wait_for_next_timestamp_tick()
+            rng.choice(edits)(rng.choice(names))
+            assert scan(drop, cache=cache) == scan(drop)
 
 
 class TestResolveActive:

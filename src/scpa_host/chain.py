@@ -25,7 +25,7 @@ from .contract import (
     format_directive,
     validate_value_map,  # noqa: F401  unused here; the benchmark's tracer rebinds it
 )
-from .registry import HandlerRef, RegistrySnapshot, order_units
+from .registry import HandlerRef, RegistrySnapshot, order_units  # noqa: F401  order_units: re-exported
 
 DEFAULT_TIMEOUT_MS = 5000
 
@@ -175,6 +175,26 @@ def _call_unit(bound: BoundUnit, envelope: Envelope, timeout_s: float) -> _CallR
     return _CallResult(ok=True, envelope=new_env, directive=directive)
 
 
+def _cross(env: Envelope, source: Envelope, twin: bool) -> tuple[Envelope, Envelope]:
+    """Walk the payload and annotations crossing in from ``source`` once
+    each, into the host's envelope ``env`` and a view for the next unit.
+    With ``twin`` the view is a second copy made in the same walk; without
+    it the view is the host's envelope itself, handed over."""
+    if twin:
+        payload, view_payload = copy_value_map(source.payload, twin=True)
+        annotations, view_annotations = copy_value_map(source.annotations, "annotations", twin=True)
+        return (
+            replace(env, payload=payload, annotations=annotations),
+            replace(env, payload=view_payload, annotations=view_annotations),
+        )
+    env = replace(
+        env,
+        payload=copy_value_map(source.payload),
+        annotations=copy_value_map(source.annotations, "annotations"),
+    )
+    return env, env
+
+
 def run_chain(
     snapshot: RegistrySnapshot,
     extension_point: str,
@@ -194,12 +214,17 @@ def run_chain(
     under FAIL_OPEN the chain continues past it, under FAIL_CLOSED the run
     raises ChainError attributed to that unit.
 
-    Each unit receives its own copy of the payload and annotations, and its
-    output is validated and copied in one pass before it flows on, so no
-    unit can reach the host's envelope or another unit's view.
+    The envelope's payload and annotations, and each unit's output, are
+    validated and copied in one walk as they cross into the chain, so no
+    unit can reach the host's envelope or another unit's view.  Under
+    FAIL_OPEN the walk also makes the next unit's view; under FAIL_CLOSED
+    the next unit gets the host's copy itself, because a failure ends the
+    chain and the host never reads that copy again.
     """
-    order = order_units(snapshot.handlers_for(extension_point))
+    order = snapshot.handlers_for(extension_point)  # sorted by the registry's commit
+    fail_open = policy is ErrorPolicy.FAIL_OPEN
     env = replace(envelope, epoch=snapshot.epoch, extension_point=extension_point)
+    env, view = _cross(env, env, fail_open and bool(order))
     timeout_s = timeout_ms / 1000.0
     records: list[ExecutionRecord] = []
 
@@ -220,25 +245,31 @@ def run_chain(
         if bound is None:
             result = _CallResult(ok=False, error=f"unit {ref.unit} is not loaded")
         else:
-            unit_view = replace(
-                env,
-                payload=copy_value_map(env.payload),
-                annotations=copy_value_map(env.annotations, "annotations"),
-            )
-            result = _call_unit(bound, unit_view, timeout_s)
+            if view is None:  # the last view went to a unit that failed
+                view = replace(
+                    env,
+                    payload=copy_value_map(env.payload),
+                    annotations=copy_value_map(env.annotations, "annotations"),
+                )
+            result = _call_unit(bound, view, timeout_s)
+            view = None
         duration_us = max(0, int((time.perf_counter() - started) * 1_000_000))
 
         if result.ok:
             assert result.envelope is not None and result.directive is not None
             error: str | None = None
             try:
-                payload = copy_value_map(result.envelope.payload)
-                annotations = copy_value_map(result.envelope.annotations, "annotations")
+                more = (
+                    fail_open
+                    and position + 1 < len(order)
+                    and not isinstance(result.directive, Stop)
+                )
+                crossed, next_view = _cross(env, result.envelope, more)
                 next_position = apply_directive(result.directive, position, order)
             except Exception as exc:  # e.g. a dict the handler still mutates elsewhere
                 error = str(exc) if isinstance(exc, DirectiveError) else f"{type(exc).__name__}: {exc}"
             if error is None:
-                env = replace(env, payload=payload, annotations=annotations)
+                env, view = crossed, next_view
                 finish(
                     ExecutionRecord(
                         unit=ref.unit,

@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import hashlib
 import logging
+import operator
 import re
 import threading
 import time
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from itertools import chain as concat, compress, repeat
 from typing import Any, Callable, Mapping, Protocol, runtime_checkable
 
 logger = logging.getLogger(__name__)
@@ -273,7 +275,7 @@ def verify_payload(manifest: Manifest, payload: bytes) -> None:
 
 # --- value maps -----------------------------------------------------------
 
-def copy_value_map(value: Any, path: str = "payload") -> dict[str, Any]:
+def copy_value_map(value: Any, path: str = "payload", *, twin: bool = False) -> Any:
     """Validate the payload data model and return a fresh copy in one pass.
 
     The data model is text, int64, float, bool, bytes, lists, and nested maps
@@ -282,11 +284,14 @@ def copy_value_map(value: Any, path: str = "payload") -> dict[str, Any]:
     container reached twice is copied once and stays shared in the copy, so
     the cost is linear in the number of distinct containers.  Only finished
     copies are remembered: a cycle recurses until ``RecursionError``.
+
+    With ``twin`` the same walk returns a pair of copies that share no list
+    or map with each other or with ``value``.
     """
     if not isinstance(value, dict):
         raise ValueMapError(f"{path}: expected a mapping, got {type(value).__name__}")
     try:
-        return _copy_map(value, {})
+        return _copy_map(value, {}, twin)
     except _Invalid as bad:
         raise ValueMapError(f"{path}{''.join(reversed(bad.where))}: {bad.message}") from None
 
@@ -306,10 +311,24 @@ class _Invalid(Exception):
 
 
 _KEEP = frozenset((str, float, bool, bytes))  # exact scalar types, always valid
+_FLAT = _KEEP | {int}  # exact scalar types, valid once ints are range-checked
+_TEXT = frozenset((str,))
+
+# Exact ``dict``/``list`` containers with at least this many items take the
+# C-speed path when flat: a list of scalars, a map of scalars, or a list of
+# maps of scalars (rows).  Measured on CPython 3.11, the path copies rows in
+# 0.5-0.8 of the item walk's time from about 32 items on, and lists and maps
+# of text from about 128; below that its fixed cost outweighs the saving.
+FAST_COPY_MIN = 128
 
 
-def _copy_map(src: dict, memo: dict[int, Any]) -> dict[str, Any]:
-    out: dict[str, Any] = {}
+def _copy_map(src: dict, memo: dict[int, Any], twin: bool) -> Any:
+    if type(src) is dict and len(src) >= FAST_COPY_MIN:
+        out = src.copy()
+        if _flat_map(out):
+            return (out, out.copy()) if twin else out
+    out = {}
+    spares = []  # (key, second copy) of each container, for a twin
     for key, item in dict.items(src):  # the stored items, whatever a subclass overrides
         if not isinstance(key, str) or not key:
             raise _Invalid(f"keys must be non-empty text, got {key!r}")
@@ -318,47 +337,128 @@ def _copy_map(src: dict, memo: dict[int, Any]) -> dict[str, Any]:
             out[key] = item
             continue
         try:
-            out[key] = _copy_item(item, memo)
+            done = _copy_item(item, memo, twin)
         except _Invalid as bad:
             bad.where.append(f".{key}")
             raise
-    return out
+        if twin:
+            out[key] = done[0]
+            spares.append((key, done[1]))
+        else:
+            out[key] = done
+    if not twin:
+        return out
+    spare = out.copy()
+    spare.update(spares)
+    return out, spare
 
 
-def _copy_list(src: list, memo: dict[int, Any]) -> list[Any]:
+def _copy_list(src: list, memo: dict[int, Any], twin: bool) -> Any:
+    if type(src) is list and len(src) >= FAST_COPY_MIN:
+        done = _copy_flat_list(src, memo, twin)
+        if done is not None:
+            return done
     out: list[Any] = []
     append = out.append
+    spares = []  # (index, second copy) of each container, for a twin
     for item in list.__iter__(src):
         cls = type(item)
         if cls in _KEEP or (cls is int and INT64_MIN <= item <= INT64_MAX):
             append(item)
             continue
         try:
-            append(_copy_item(item, memo))
+            done = _copy_item(item, memo, twin)
         except _Invalid as bad:
             bad.where.append(f"[{len(out)}]")  # the items before it are all copied
             raise
-    return out
+        if twin:
+            spares.append((len(out), done[1]))
+            append(done[0])
+        else:
+            append(done)
+    if not twin:
+        return out
+    spare = out.copy()
+    for i, item in spares:
+        spare[i] = item
+    return out, spare
 
 
-def _copy_item(value: Any, memo: dict[int, Any]) -> Any:
-    """The slow path: containers, out-of-range ints, scalar subclasses."""
+def _copy_item(value: Any, memo: dict[int, Any], twin: bool) -> Any:
+    """The slow path: containers, out-of-range ints, scalar subclasses.
+    With ``twin`` it returns a pair, and ``memo`` holds only pairs."""
     if isinstance(value, (dict, list)):
         done = memo.get(id(value))
         if done is None:
             if isinstance(value, dict):
-                done = _copy_map(value, memo)
+                done = _copy_map(value, memo, twin)
             else:
-                done = _copy_list(value, memo)
+                done = _copy_list(value, memo, twin)
             memo[id(value)] = done
         return done
     if isinstance(value, (str, float, bool, bytes)):
-        return value
+        return (value, value) if twin else value
     if isinstance(value, int):
         if not INT64_MIN <= value <= INT64_MAX:
             raise _Invalid("integer outside 64-bit signed range")
-        return value
+        return (value, value) if twin else value
     raise _Invalid(f"unsupported value type {type(value).__name__}")
+
+
+# The fast path copies first, with the C-level ``dict.copy``/``list.copy``,
+# and checks the copies, which no one else holds, so a writer cannot slip a
+# value in between the check and its use.  Any shape it does not cover, and
+# any broken rule, returns None: the per-item walk then copies the source and
+# reports the error with its path.
+
+def _flat(values: list, kinds: set) -> bool:
+    """True if ``kinds``, the types in ``values``, are all exact scalar
+    types and every int in ``values`` is in range."""
+    if not kinds <= _FLAT:
+        return False
+    if int not in kinds:
+        return True
+    if len(kinds) > 1:
+        values = list(compress(values, map(operator.is_, map(type, values), repeat(int))))
+    return INT64_MIN <= min(values) and max(values) <= INT64_MAX
+
+
+def _flat_map(out: dict) -> bool:
+    """True if the (already copied) map has text keys and scalar values."""
+    values = list(out.values())
+    return (
+        set(map(type, out)) <= _TEXT
+        and "" not in out
+        and _flat(values, set(map(type, values)))
+    )
+
+
+def _copy_flat_list(src: list, memo: dict[int, Any], twin: bool) -> Any:
+    """A list of scalars, or of distinct not-yet-copied flat rows, or None."""
+    out = src.copy()
+    kinds = set(map(type, out))
+    if kinds != {dict}:
+        if not _flat(out, kinds):
+            return None
+        return (out, out.copy()) if twin else out
+    ids = list(map(id, out))  # ``out`` keeps the rows alive, so ids stay theirs
+    if len(set(ids)) != len(ids) or not memo.keys().isdisjoint(ids):
+        return None  # a shared row: the item walk keeps the sharing
+    rows = list(map(dict.copy, out))
+    if not (
+        set(map(type, concat.from_iterable(rows))) <= _TEXT
+        and not any(map(dict.__contains__, rows, repeat("")))
+    ):
+        return None
+    values = list(concat.from_iterable(map(dict.values, rows)))
+    if not _flat(values, set(map(type, values))):
+        return None
+    if not twin:
+        memo.update(zip(ids, rows))
+        return rows
+    spare = list(map(dict.copy, rows))
+    memo.update(zip(ids, zip(rows, spare)))
+    return rows, spare
 
 
 def value_equal(a: Any, b: Any) -> bool:

@@ -1,5 +1,6 @@
 """Chain engine: ordering, directives, containment, traces, termination."""
 
+import io
 import itertools
 import sys
 import threading
@@ -28,9 +29,10 @@ from scpa_host.contract import (
     reference_unit,
     value_equal,
 )
+from scpa_host.host import Host, HostConfig
 from scpa_host.registry import HandlerRef
 
-from _util import MemoryRegistry, record_sequence_ok
+from _util import MemoryRegistry, record_sequence_ok, write_bundle
 
 EP = "business.orders.process"
 
@@ -255,11 +257,11 @@ class TestRunChain:
 
         real_copy = chain_mod.copy_value_map
 
-        def copy_racing_a_writer(value, path="payload"):
+        def copy_racing_a_writer(value, path="payload", **kwargs):
             # what copying a map that another thread keeps growing raises
             if isinstance(value, dict) and value.get("grown"):
                 raise RuntimeError("dictionary changed size during iteration")
-            return real_copy(value, path)
+            return real_copy(value, path, **kwargs)
 
         monkeypatch.setattr(chain_mod, "copy_value_map", copy_racing_a_writer)
         snapshot, bound = build_fn_units(
@@ -656,7 +658,8 @@ class TestEnvelopeIsolation:
         assert out.payload == {"tags": ["x"]}
         assert out.payload["tags"] is not tags
 
-    def test_mutate_then_raise_leaves_envelope_unchanged(self):
+    @pytest.mark.parametrize("vandals", [1, 2])
+    def test_mutate_then_raise_leaves_envelope_unchanged(self, vandals):
         seen = []
 
         def vandal(envelope):
@@ -671,14 +674,16 @@ class TestEnvelopeIsolation:
             payload["k"] = "w"
             return envelope.with_payload(payload)
 
-        snapshot, bound = build_fn_units(("aa", 10, vandal), ("bb", 20, witness))
+        # each failed unit damaged its view; the next one gets a fresh copy
+        rows = [(f"v{i}", 10 + i, vandal) for i in range(vandals)] + [("witness", 20, witness)]
+        snapshot, bound = build_fn_units(*rows)
         out = run_chain(
             snapshot, EP, make_envelope(EP, {"k": "", "rows": [{"n": 1}]}),
             ErrorPolicy.FAIL_OPEN, units=bound,
         )
         assert seen == [True]
         assert value_equal(out.payload, {"k": "w", "rows": [{"n": 1}]})
-        assert [r.outcome for r in out.trace] == [Outcome.ERROR, Outcome.OK]
+        assert [r.outcome for r in out.trace] == [Outcome.ERROR] * vandals + [Outcome.OK]
 
     def test_kept_output_mutated_later_does_not_change_a_result(self):
         kept = []
@@ -715,7 +720,8 @@ class TestEnvelopeIsolation:
         assert mutated.wait(5.0)
         assert value_equal(out.payload, {"k": "", "rows": ["a"]})
 
-    def test_ten_unit_dispatch_walks_the_payload_twenty_one_times(self, monkeypatch):
+    @pytest.mark.parametrize("policy", [ErrorPolicy.FAIL_OPEN, ErrorPolicy.FAIL_CLOSED])
+    def test_ten_unit_dispatch_walks_the_payload_once_per_crossing(self, monkeypatch, tmp_path, policy):
         import copy
 
         import scpa_host.chain as chain_mod
@@ -726,23 +732,36 @@ class TestEnvelopeIsolation:
         walks = []
         deepcopies = []
 
-        def counting_copy(value, path="payload"):
-            walks.append(path)
-            return real_copy(value, path)
+        def counting_copy(value, path="payload", twin=False):
+            walks.append((path, twin))
+            return real_copy(value, path, twin=twin)
 
         def counting_deepcopy(*args, **kwargs):
             deepcopies.append(args)
             return real_deepcopy(*args, **kwargs)
 
-        monkeypatch.setattr(contract_mod, "copy_value_map", counting_copy)
-        monkeypatch.setattr(chain_mod, "copy_value_map", counting_copy)
-        monkeypatch.setattr(copy, "deepcopy", counting_deepcopy)
-        snapshot, bound = build(
-            [(f"u{i}", i, Behavior(("append", "k", str(i)))) for i in range(10)]
-        )
-        out = run_chain(
-            snapshot, EP, make_envelope(EP, {"k": "", "rows": [{"n": 1}]}), units=bound
-        )
-        assert out.payload["k"] == "0123456789"
+        drop = tmp_path / "drop"
+        for i in range(10):
+            source = (
+                "def handle(payload, context):\n"
+                f"    return dict(payload, k=payload['k'] + {str(i)!r})\n"
+            )
+            write_bundle(drop, f"u{i}", "1.0.0", source, [("business", EP, "handle")], priority=i)
+        host = Host(HostConfig(drop_dir=drop, error_policy=policy, diagnostics=io.StringIO()))
+        host.start()
+        try:
+            monkeypatch.setattr(contract_mod, "copy_value_map", counting_copy)
+            monkeypatch.setattr(chain_mod, "copy_value_map", counting_copy)
+            monkeypatch.setattr(copy, "deepcopy", counting_deepcopy)
+            out = host.dispatch(EP, {"k": "", "rows": [{"n": 1}]})
+        finally:
+            host.stop()
+        assert out["k"] == "0123456789"
         assert deepcopies == []
-        assert walks.count("payload") == 2 * 10 + 1
+        # one walk as the caller's payload crosses in, one per unit output;
+        # under FAIL_OPEN each walk but the last also makes the next view
+        payload_walks = [twin for path, twin in walks if path == "payload"]
+        if policy is ErrorPolicy.FAIL_OPEN:
+            assert payload_walks == [True] * 10 + [False]
+        else:
+            assert payload_walks == [False] * 11

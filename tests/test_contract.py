@@ -16,6 +16,7 @@ from scpa_host.contract import (
     DuplicateBinding,
     EXTENSION_POINT_RE,
     Envelope,
+    FAST_COPY_MIN,
     ExecutionRecord,
     Layer,
     LayerBinding,
@@ -336,13 +337,63 @@ scalars_st = st.one_of(
 keys_st = st.text(min_size=1, max_size=3)
 
 
+class Key(str):
+    pass
+
+
+class Row(dict):
+    pass
+
+
+class Items(list):
+    pass
+
+
+def large_container(draw, pool):
+    """Rows, a flat list or a flat map of at least FAST_COPY_MIN items, the
+    shapes the walker copies at C speed, sometimes with one twist that
+    sends it down the item walk: a shared row, a subclass or a str-subclass
+    key at a random position."""
+    n = draw(st.integers(FAST_COPY_MIN, FAST_COPY_MIN + 2))
+    scalars = draw(st.lists(scalars_st, min_size=1, max_size=3))
+    kind = draw(st.sampled_from(("rows", "list", "map")))
+    if kind == "rows":
+        keys = draw(st.lists(keys_st, max_size=3, unique=True))
+        made = [{k: scalars[(i + j) % len(scalars)] for j, k in enumerate(keys)} for i in range(n)]
+    elif kind == "list":
+        made = [scalars[i % len(scalars)] for i in range(n)]
+    else:
+        made = {f"k{i}": scalars[i % len(scalars)] for i in range(n)}
+    at = draw(st.integers(0, n - 1))
+    twist = draw(st.sampled_from(("none", "none", "shared", "subclass", "key")))
+    if kind == "rows":
+        if twist == "shared":
+            made[at] = made[draw(st.integers(0, n - 1))]
+        elif twist == "subclass":
+            made[at] = Row(made[at])
+        elif twist == "key" and made[at]:
+            key = next(iter(made[at]))
+            made[at][Key(key)] = made[at].pop(key)
+        pool.append(made[at])  # a row may show up again elsewhere
+    elif kind == "list" and twist == "subclass":
+        made[at] = Items(made[at : at + 2])
+    elif kind == "map" and twist in ("key", "subclass"):
+        made[Key(f"k{at}")] = made.pop(f"k{at}")
+        if twist == "subclass":
+            made = Row(made)
+    elif kind == "list" and twist == "key":
+        made = Items(made)
+    return made
+
+
 @st.composite
 def shared_value_maps(draw, depth=4):
-    """Value maps in which a finished list or map may appear again."""
+    """Value maps in which a finished list or map may appear again, and
+    containers large enough for the walker's fast path may occur."""
     pool = []
 
     def value(depth):
-        kinds = ("scalar", "list", "map", "again") if depth else ("scalar", "again")
+        kinds = ("scalar", "list", "map", "large", "again") if depth else ("scalar", "again")
         kind = draw(st.sampled_from(kinds))
         if kind == "again" and pool:
             return draw(st.sampled_from(pool))
@@ -350,6 +401,8 @@ def shared_value_maps(draw, depth=4):
             made = [value(depth - 1) for _ in range(draw(st.integers(0, 3)))]
         elif kind == "map":
             made = mapping(depth - 1)
+        elif kind == "large":
+            made = large_container(draw, pool)
         else:
             return draw(scalars_st)
         pool.append(made)
@@ -432,29 +485,69 @@ def _reference_item_error(value, path):
     return f"{path}: unsupported value type {type(value).__name__}"
 
 
+def walk(value, path="payload", twin=False):
+    """The copies one walk makes: one, or the two of a twin walk."""
+    if twin:
+        return list(copy_value_map(value, path, twin=True))
+    return [copy_value_map(value, path)]
+
+
 class TestCopyValueMap:
+    @pytest.mark.parametrize("twin", [False, True])
     @given(shared_value_maps())
     @settings(max_examples=200, deadline=None)
-    def test_copy_is_equal_disjoint_and_keeps_sharing(self, value):
-        copied = copy_value_map(value)
-        assert value_equal(copied, value)
-        original_ids = {id(c) for c in containers(value)}
-        assert original_ids.isdisjoint(id(c) for c in containers(copied))
-        copy_of, original_of = {}, {}
-        for original, twin in container_pairs(value, copied, []):
-            assert copy_of.setdefault(id(original), twin) is twin
-            assert original_of.setdefault(id(twin), original) is original
+    def test_copy_is_equal_disjoint_and_keeps_sharing(self, twin, value):
+        copies = walk(value, twin=twin)
+        seen = {id(c) for c in containers(value)}
+        for copied in copies:
+            assert value_equal(copied, value)
+            inside = [id(c) for c in containers(copied)]
+            assert seen.isdisjoint(inside)  # shares nothing with the source or the other copy
+            seen.update(inside)
+            assert all(type(c) in (dict, list) for c in containers(copied))
+            copy_of, original_of = {}, {}
+            for original, twin_of in container_pairs(value, copied, []):
+                assert copy_of.setdefault(id(original), twin_of) is twin_of
+                assert original_of.setdefault(id(twin_of), original) is original
 
+    @pytest.mark.parametrize("twin", [False, True])
     @given(invalid_value_maps(), st.sampled_from(["payload", "annotations"]))
     @settings(max_examples=200, deadline=None)
-    def test_invalid_maps_fail_with_the_same_message(self, value, path):
+    def test_invalid_maps_fail_with_the_same_message(self, twin, value, path):
         expected = reference_error(value, path)
         assert expected is not None
         with pytest.raises(ValueMapError) as copied:
-            copy_value_map(value, path)
+            walk(value, path, twin)
         with pytest.raises(ValueMapError) as validated:
             validate_value_map(value, path)
         assert str(copied.value) == str(validated.value) == expected
+
+    def test_flat_shapes_take_the_fast_path_and_shared_rows_do_not(self, monkeypatch):
+        import scpa_host.contract as contract_mod
+
+        real = contract_mod._copy_flat_list
+        results = []
+
+        def spy(src, memo, twin):
+            results.append(real(src, memo, twin))
+            return results[-1]
+
+        monkeypatch.setattr(contract_mod, "_copy_flat_list", spy)
+        n = FAST_COPY_MIN
+        rows = [{"id": f"p{i}", "qty": i, "ok": True} for i in range(n)]
+        flat = list(range(n))
+        payload = {"rows": rows, "flat": flat, "again": rows[0], "short": flat[: n - 1]}
+        for twin in (False, True):
+            results.clear()
+            copies = walk(payload, twin=twin)
+            assert len(results) == 2 and all(r is not None for r in results)
+            for copied in copies:
+                assert value_equal(copied, payload)
+                assert copied["again"] is copied["rows"][0]  # the memo knows the fast-path rows
+        results.clear()
+        copied = copy_value_map({"rows": rows + [rows[1]]})
+        assert results == [None]
+        assert copied["rows"][-1] is copied["rows"][1]
 
     @pytest.mark.parametrize("value", [[], "x", None, (("k", 1),)])
     def test_top_level_must_be_a_map(self, value):

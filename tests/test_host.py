@@ -6,10 +6,13 @@ import shutil
 import threading
 import time
 from pathlib import Path
+from types import MappingProxyType
 
 import pytest
 
 from scpa_host.chain import ChainError, ErrorPolicy
+from scpa_host.contract import ValueMapError
+from scpa_host.diagnostics import DiagnosticLog
 from scpa_host.host import Host, HostConfig, HostConfigError, load_host_config
 from scpa_host.registry import DropDirUnreadable, UnitState, write_pin
 
@@ -135,6 +138,66 @@ class TestDispatch:
             out = host.dispatch("ui.nothing.here", payload)
             assert out == payload
             assert out is not payload
+            assert out["nested"] is not payload["nested"]
+            assert out["nested"]["a"] is not payload["nested"]["a"]
+        finally:
+            host.stop()
+
+    @pytest.mark.parametrize("policy", [ErrorPolicy.FAIL_OPEN, ErrorPolicy.FAIL_CLOSED])
+    def test_bad_extension_point_or_payload_fails_before_any_unit_runs(self, tmp_path, policy):
+        ran = tmp_path / "ran"
+        source = (
+            "def handle(payload, context):\n"
+            f"    open({str(ran)!r}, 'a').close()\n"
+            "    return payload\n"
+        )
+        host = make_host(tmp_path, error_policy=policy)
+        write_bundle(host.config.drop_dir, "unit-a", "1.0.0", source, [("business", EP, "handle")])
+        host.start()
+        try:
+            with pytest.raises(ValueError, match="^bad extension point 'notdotted'$"):
+                host.dispatch("notdotted", {})
+            with pytest.raises(ValueMapError, match=r"^payload\.rows\[1\]: unsupported value type object$"):
+                host.dispatch(EP, {"rows": ["ok", object()]})
+            assert not ran.exists()
+            assert host.dispatch(EP, {"rows": ["ok"]}) == {"rows": ["ok"]}
+            assert ran.exists()
+        finally:
+            host.stop()
+
+    def test_a_mapping_that_is_not_a_dict_is_accepted(self, tmp_path):
+        host = make_host(tmp_path)
+        write_bundle(
+            host.config.drop_dir, "unit-a", "1.0.0", APPEND.format(stamp="a"), [("business", EP, "handle")]
+        )
+        host.start()
+        try:
+            out = host.dispatch(EP, MappingProxyType({"log": "", "tags": ["t"]}))
+            assert out == {"log": "a", "tags": ["t"]}
+            assert type(out) is dict
+        finally:
+            host.stop()
+
+    def test_fail_closed_view_kept_and_mutated_later_changes_no_result(self, tmp_path):
+        # under FAIL_CLOSED a unit's view is the host's own copy, handed over
+        keeper = (
+            "KEPT = []\n"
+            "def handle(payload, context):\n"
+            "    for old in KEPT:\n"
+            "        old['rows'].append('late')\n"
+            "        old['n'] = -1\n"
+            "    KEPT.append(payload)\n"
+            "    return payload\n"
+        )
+        host = make_host(tmp_path, error_policy=ErrorPolicy.FAIL_CLOSED)
+        for name, priority in (("keep-a", 10), ("keep-b", 20)):
+            write_bundle(
+                host.config.drop_dir, name, "1.0.0", keeper, [("business", EP, "handle")], priority=priority
+            )
+        host.start()
+        try:
+            results = [host.dispatch(EP, {"n": n, "rows": []}) for n in range(3)]
+            assert results == [{"n": n, "rows": []} for n in range(3)]
         finally:
             host.stop()
 
@@ -182,6 +245,42 @@ class TestDispatch:
             assert seen[-1] == (3, 3)
         finally:
             host.stop()
+
+
+class TestBrokenDiagnostics:
+    def test_closed_stream_fails_no_dispatch_and_no_tick(self, tmp_path):
+        stream = io.StringIO()
+        host = make_host(tmp_path, diagnostics=stream)
+        write_bundle(
+            host.config.drop_dir, "unit-a", "1.0.0", APPEND.format(stamp="a"), [("business", EP, "handle")]
+        )
+        host.start()
+        try:
+            epoch = host.status().epoch
+            stream.close()
+            assert host.dispatch(EP, {"log": ""}) == {"log": "a"}
+            write_bundle(
+                host.config.drop_dir, "unit-b", "1.0.0", APPEND.format(stamp="b"),
+                [("business", EP, "handle")], priority=200,
+            )
+            host.hot_swap_cycle()
+            assert host.status().epoch == epoch + 1
+            assert host.dispatch(EP, {"log": ""}) == {"log": "ab"}
+            # one TRACE per unit call, one EPOCH per activation
+            assert host.diag.dropped == 1 + 1 + 2
+        finally:
+            host.stop()
+
+    @pytest.mark.parametrize("error", [BrokenPipeError(32, "Broken pipe"), OSError(28, "No space left on device")])
+    def test_a_stream_error_drops_the_line_and_counts_it(self, error):
+        class Failing(io.StringIO):
+            def write(self, text):
+                raise error
+
+        log = DiagnosticLog(Failing())
+        log("TRACE one")
+        log.emit("TRACE two")
+        assert log.dropped == 2
 
 
 class TestHotSwap:

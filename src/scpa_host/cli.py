@@ -44,9 +44,9 @@ from .impact import (
 )
 from .registry import (
     DISABLED_FILENAME,
-    NoPriorVersion,
     RegistryError,
     VersionPin,
+    previous_version,
     resolve_active,
     scan,
     write_pin,
@@ -272,10 +272,7 @@ def cmd_rollback(args) -> int:
         raise RegistryError(f"unknown unit: {args.name}")
     pin = result.pins.get(args.name)
     current = resolve_active(args.name, versions, VersionPin(args.name, pin) if pin else None)
-    older = [v for v in versions if parse_version(v) < parse_version(current)]
-    if not older:
-        raise NoPriorVersion(args.name)
-    target = max(older, key=parse_version)
+    target = previous_version(args.name, current, versions)
     write_pin(Path(args.drop_dir) / args.name, target)
     print(f"rolled back {args.name}: {current} -> {target} (pinned)")
     return 0

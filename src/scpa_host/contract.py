@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import hashlib
 import logging
-import operator
 import re
 import threading
 import time
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from itertools import chain as concat, compress, repeat
+from itertools import chain as concat, repeat
 from typing import Any, Callable, Mapping, Protocol, runtime_checkable
 
 logger = logging.getLogger(__name__)
@@ -419,7 +418,7 @@ def _flat(values: list, kinds: set) -> bool:
     if int not in kinds:
         return True
     if len(kinds) > 1:
-        values = list(compress(values, map(operator.is_, map(type, values), repeat(int))))
+        values = [v for v in values if type(v) is int]
     return INT64_MIN <= min(values) and max(values) <= INT64_MAX
 
 

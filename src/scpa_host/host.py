@@ -7,7 +7,7 @@ from __future__ import annotations
 import operator
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, Mapping, TextIO
 
@@ -23,7 +23,7 @@ from .contract import (
     new_envelope_id,
 )
 from .diagnostics import DiagnosticLog
-from .loading import payload_unit_factory
+from .loading import CodeStore, payload_unit_factory
 from .registry import (
     Discovery,
     DropDirUnreadable,
@@ -206,6 +206,7 @@ class Host:
         )
         self._scan_cache: ScanCache = {}
         self._resolved: dict[str, _Resolved] = {}
+        self._code_store = CodeStore()
         self._writer_lock = threading.RLock()
         self._gate_lock = threading.Lock()
         self._world = _World(snapshot=EMPTY_SNAPSHOT, bound={})
@@ -293,14 +294,18 @@ class Host:
             desired: dict[str, Discovery] = {}
             blocked: set[str] = set()
             resolved: dict[str, _Resolved] = {}
+            carried = 0  # names that had a memo on the previous tick
             for name, discoveries in by_name.items():
-                if name in result.disabled:
-                    continue
                 pin = result.pins.get(name)
                 memo = self._resolved.get(name)
+                if memo is not None:
+                    carried += 1
                 if memo is None or not memo.holds_for(discoveries, pin):
                     memo = _Resolved(discoveries, pin, _resolve(name, discoveries, pin))
+                    self._code_store.retain(name, discoveries)
                 resolved[name] = memo
+                if name in result.disabled:
+                    continue
                 choice = memo.choice
                 if isinstance(choice, PinMissing):
                     # keep whatever is active rather than guessing a version
@@ -308,6 +313,9 @@ class Host:
                     blocked.add(name)
                 else:
                     desired[name] = choice
+            if carried < len(self._resolved):  # some unit has no version left on disk
+                for name in self._resolved.keys() - resolved.keys():
+                    self._code_store.retain(name, [])
             self._resolved = resolved
 
             activated: list[tuple[str, str]] = []
@@ -337,7 +345,7 @@ class Host:
                     if self._registry.record_state(name, discovery.version) is UnitState.FAILED:
                         continue
                 try:
-                    self._registry.activate(discovery)
+                    self._registry.activate(replace(discovery, code_store=self._code_store))
                 except PayloadChanged as exc:
                     reject = Reject(str(discovery.path), "checksum-mismatch", exc.reason)
                     rejects.append(reject)
@@ -348,6 +356,7 @@ class Host:
                         f"REJECT {discovery.path or name} load-failed {exc.reason}"
                     )
                     continue
+                self._code_store.add(discovery, self._registry.active_entry(name).unit)
                 if current is not None:
                     deactivated.append((name, current))
                 activated.append((name, discovery.version))

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import threading
 from pathlib import Path
-from types import ModuleType
+from types import CodeType, ModuleType
 
 from .contract import (
     ChainDirective,
@@ -38,35 +38,94 @@ class PayloadError(Exception):
     pass
 
 
-def load_payload_module(
-    path: Path, unit_name: str, version: str, source: bytes | None = None
-) -> ModuleType:
-    """Execute payload source as a private module, fresh per activation.
+def compile_payload(path: Path, source: bytes) -> CodeType:
+    """Compile exactly ``source`` as the payload at ``path``.
 
-    ``source`` is the payload's bytes as the caller read and verified them;
-    without it the file at ``path`` is read.  Exactly those bytes are
-    compiled: no ``__pycache__`` is written, and no ``.pyc`` beside the file
-    is run in their place.  The module gets a unique synthetic name and is
-    never registered in sys.modules, so two units (or two versions of one
-    unit) defining the same symbols cannot collide.
+    No ``__pycache__`` is written, and no ``.pyc`` beside the file is run in
+    place of the bytes given."""
+    return compile(source, str(path), "exec", dont_inherit=True)
+
+
+def load_payload_module(
+    path: Path, unit_name: str, version: str, code: CodeType | None = None
+) -> ModuleType:
+    """Execute payload code as a private module, fresh per activation.
+
+    ``code`` is the payload as compiled from the bytes the caller read and
+    verified; without it the file at ``path`` is read and compiled.  The
+    module gets a unique synthetic name and is never registered in
+    sys.modules, so two units (or two versions of one unit) defining the
+    same symbols cannot collide.
     """
-    if source is None:
-        source = Path(path).read_bytes()
+    if code is None:
+        code = compile_payload(path, Path(path).read_bytes())
     with _load_lock:
         serial = next(_module_serial)
     module = ModuleType(f"_scpa_payload_{unit_name.replace('-', '_')}_{serial}")
     module.__file__ = str(path)
-    exec(compile(source, str(path), "exec", dont_inherit=True), module.__dict__)
+    exec(code, module.__dict__)
     return module
+
+
+class CodeStore:
+    """One host's compiled payload code, keyed by payload path and manifest
+    checksum and grouped by unit.  A host scans one drop dir, so a unit's
+    version and its manifest's ``payload_ref`` name the payload's path.
+
+    An entry is only ever looked up after the bytes just read from its path
+    have been verified against its checksum, so the code it holds was
+    compiled from those same bytes.  Only the host's tick, under its writer
+    lock, reads or changes the store.
+    """
+
+    def __init__(self):
+        self._units: dict[str, dict[tuple[str, str, str], CodeType]] = {}
+
+    @staticmethod
+    def _key(discovery: Discovery) -> tuple[str, str, str]:
+        manifest = discovery.manifest
+        return discovery.version, manifest.payload_ref, manifest.checksum
+
+    def get(self, discovery: Discovery) -> CodeType | None:
+        entries = self._units.get(discovery.name)
+        return entries.get(self._key(discovery)) if entries else None
+
+    def add(self, discovery: Discovery, unit: object) -> None:
+        """Keep the code ``unit`` was loaded from, if it is a PayloadUnit."""
+        code = getattr(unit, "code", None)
+        if isinstance(code, CodeType):
+            self._units.setdefault(discovery.name, {})[self._key(discovery)] = code
+
+    def retain(self, name: str, discoveries: list[Discovery]) -> None:
+        """Drop ``name``'s entries for every payload not among ``discoveries``,
+        the unit's versions now on disk."""
+        entries = self._units.get(name)
+        if not entries:
+            return
+        keep = {self._key(d) for d in discoveries}
+        for key in entries.keys() - keep:
+            del entries[key]
+        if not entries:
+            del self._units[name]
+
+    def __len__(self) -> int:
+        return sum(map(len, self._units.values()))
 
 
 class PayloadUnit:
     """Adapts a payload module to the Load/Execute/Next contract."""
 
-    def __init__(self, manifest: Manifest, module: ModuleType, context: HostContext):
+    def __init__(
+        self,
+        manifest: Manifest,
+        module: ModuleType,
+        context: HostContext,
+        code: CodeType | None = None,
+    ):
         self._manifest = manifest
         self._module = module
         self._context = context
+        self.code = code
         self._handlers = {b.extension_point: b.handler for b in manifest.bindings}
 
     def load(self, context: HostContext) -> LoadReport:
@@ -127,12 +186,18 @@ def payload_unit_factory(discovery: Discovery, context: HostContext) -> PayloadU
 
     The payload is read once and checked against the manifest checksum
     again: the scan that verified it may be many ticks old.  Raises
-    ChecksumMismatch when the bytes changed since.
+    ChecksumMismatch when the bytes changed since.  Only then is the code
+    looked up in the discovery's ``code_store``; without one, or on a miss,
+    the verified bytes are compiled.
     """
     if discovery.path is None:
         raise PayloadError(f"discovery of {discovery.name} has no on-disk bundle")
     payload_path = Path(discovery.path) / discovery.manifest.payload_ref
     source = payload_path.read_bytes()
     verify_payload(discovery.manifest, source)
-    module = load_payload_module(payload_path, discovery.name, discovery.version, source)
-    return PayloadUnit(discovery.manifest, module, context)
+    store = discovery.code_store
+    code = store.get(discovery) if store is not None else None
+    if code is None:
+        code = compile_payload(payload_path, source)
+    module = load_payload_module(payload_path, discovery.name, discovery.version, code)
+    return PayloadUnit(discovery.manifest, module, context, code)

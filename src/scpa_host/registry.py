@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from types import MappingProxyType
-from typing import Callable, Iterable, KeysView, Mapping, Protocol
+from typing import TYPE_CHECKING, Callable, Iterable, KeysView, Mapping, Protocol
 
 from .contract import (
     HOST_VERSION,
@@ -31,6 +31,9 @@ from .contract import (
     parse_version,
     verify_payload,
 )
+
+if TYPE_CHECKING:
+    from .loading import CodeStore
 
 PIN_FILENAME = "pin"
 DISABLED_FILENAME = "disabled"
@@ -148,12 +151,16 @@ class VersionPin:
 
 @dataclass(frozen=True)
 class Discovery:
-    """A valid bundle found on disk (or constructed in memory for tests)."""
+    """A valid bundle found on disk (or constructed in memory for tests).
+
+    ``code_store``, set by a host on the discovery it activates, holds the
+    code that host compiled from earlier activations."""
 
     name: str
     version: str
     manifest: Manifest
     path: Path | None = None
+    code_store: CodeStore | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -437,6 +444,16 @@ def resolve_active(
     return max(available, key=parse_version)
 
 
+def previous_version(name: str, current: str, versions: Iterable[str]) -> str:
+    """The version a rollback of ``name`` from ``current`` goes to: the
+    highest of ``versions`` below it.  Raises NoPriorVersion."""
+    below = parse_version(current)
+    older = [v for v in versions if parse_version(v) < below]
+    if not older:
+        raise NoPriorVersion(name)
+    return max(older, key=parse_version)
+
+
 class PinStore(Protocol):
     def get(self, name: str) -> str | None: ...
 
@@ -683,14 +700,9 @@ class Registry:
         entry = self._active.get(name)
         if entry is None:
             raise NotActive(name)
-        current = parse_version(entry.version)
-        older = [
-            d for d in candidates
-            if d.name == name and parse_version(d.version) < current
-        ]
-        if not older:
-            raise NoPriorVersion(name)
-        target = max(older, key=lambda d: parse_version(d.version))
+        own = [d for d in candidates if d.name == name]
+        version = previous_version(name, entry.version, [d.version for d in own])
+        target = next(d for d in own if d.version == version)
         self._pin_store.set(name, target.version)
         return self.activate(
             target, reason=f"rollback {name} {entry.version}->{target.version}"

@@ -810,3 +810,199 @@ class TestRestartEquivalence:
         }
         host2.stop()
         assert routes_before == routes_after
+
+
+STATEFUL = (
+    "calls = []\n"
+    "def load(context):\n"
+    "    calls.append(1)\n"
+    "    with open(context.data_dir / 'loads', 'a') as fh:\n"
+    "        fh.write({stamp!r} + ' ')\n"
+    "def handle(payload, context):\n"
+    "    return dict(payload, stamp={stamp!r}, calls=len(calls))\n"
+)
+
+
+class TestCodeReuse:
+    """A host runs the code it compiled earlier from the same verified bytes
+    at the same path, in a fresh module, and compiles nothing else twice."""
+
+    BINDING = [("business", EP, "handle")]
+
+    @pytest.fixture
+    def compiles(self, monkeypatch):
+        import builtins
+
+        import scpa_host.loading as loading_mod
+
+        seen = []
+
+        def counting_compile(source, filename, *args, **kwargs):
+            path = Path(filename)
+            seen.append((path.parent.parent.name, path.parent.name))
+            return builtins.compile(source, filename, *args, **kwargs)
+
+        monkeypatch.setattr(loading_mod, "compile", counting_compile, raising=False)
+        return seen
+
+    def deploy(self, drop, version, stamp, name="unit-a"):
+        write_bundle(drop, name, version, STATEFUL.format(stamp=stamp), self.BINDING)
+
+    def loads(self, host, name="unit-a"):
+        return (host.config.drop_dir / ".scpa" / "data" / name / "loads").read_text().split()
+
+    def test_pin_back_compiles_nothing_and_starts_fresh(self, tmp_path, compiles):
+        host = make_host(tmp_path)
+        drop = host.config.drop_dir
+        self.deploy(drop, "1.0.0", "a1")
+        host.start()
+        try:
+            self.deploy(drop, "1.1.0", "a2")
+            assert host.hot_swap_cycle().activated == (("unit-a", "1.1.0"),)
+            assert compiles == [("unit-a", "1.0.0"), ("unit-a", "1.1.0")]
+            for version, stamp in (("1.0.0", "a1"), ("1.1.0", "a2"), ("1.0.0", "a1")):
+                write_pin(drop / "unit-a", version)
+                assert host.hot_swap_cycle().activated == (("unit-a", version),)
+                # a new module: its list holds only this activation's load()
+                assert host.dispatch(EP, {}) == {"stamp": stamp, "calls": 1}
+            assert compiles == [("unit-a", "1.0.0"), ("unit-a", "1.1.0")]
+            assert self.loads(host) == ["a1", "a2", "a1", "a2", "a1"]
+        finally:
+            host.stop()
+
+    def test_reenable_compiles_nothing_and_starts_fresh(self, tmp_path, compiles):
+        host = make_host(tmp_path)
+        drop = host.config.drop_dir
+        self.deploy(drop, "1.0.0", "a1")
+        host.start()
+        try:
+            for _ in range(3):
+                (drop / "unit-a" / "disabled").touch()
+                assert host.hot_swap_cycle().deactivated == (("unit-a", "1.0.0"),)
+                (drop / "unit-a" / "disabled").unlink()
+                assert host.hot_swap_cycle().activated == (("unit-a", "1.0.0"),)
+                assert host.dispatch(EP, {}) == {"stamp": "a1", "calls": 1}
+            assert compiles == [("unit-a", "1.0.0")]
+            assert self.loads(host) == ["a1"] * 4
+        finally:
+            host.stop()
+
+    def test_bytes_changed_after_scan_are_rejected_and_stored_code_never_runs(
+        self, tmp_path, compiles, monkeypatch
+    ):
+        import scpa_host.host as host_mod
+
+        host = make_host(tmp_path)
+        drop = host.config.drop_dir
+        self.deploy(drop, "1.0.0", "a1")
+        host.start()
+        self.deploy(drop, "1.1.0", "a2")
+        host.hot_swap_cycle()
+        payload = drop / "unit-a" / "1.0.0" / "payload.py"
+        marker = tmp_path / "forged-ran"
+        real_scan = host_mod.scan
+
+        def scan_then_tamper(*args, **kwargs):
+            result = real_scan(*args, **kwargs)
+            payload.write_text(f"open({str(marker)!r}, 'w').close()\n" + STATEFUL.format(stamp="f"))
+            return result
+
+        monkeypatch.setattr(host_mod, "scan", scan_then_tamper)
+        try:
+            write_pin(drop / "unit-a", "1.0.0")
+            report = host.hot_swap_cycle()
+            assert [r.code for r in report.rejects] == ["checksum-mismatch"]
+            assert report.activated == ()
+            assert not marker.exists()
+            assert self.loads(host) == ["a1", "a2"]  # the stored 1.0.0 code did not run
+            assert host.dispatch(EP, {})["stamp"] == "a2"
+            assert compiles == [("unit-a", "1.0.0"), ("unit-a", "1.1.0")]
+        finally:
+            host.stop()
+
+    def test_version_rewritten_in_place_compiles_its_new_bytes(self, tmp_path, compiles):
+        host = make_host(tmp_path)
+        drop = host.config.drop_dir
+        self.deploy(drop, "1.0.0", "a1")
+        host.start()
+        try:
+            self.deploy(drop, "1.1.0", "a2")
+            host.hot_swap_cycle()
+            self.deploy(drop, "1.0.0", "b1")
+            assert not host.hot_swap_cycle().changed
+            assert len(host._code_store) == 1  # the old 1.0.0 bytes are gone from disk
+            write_pin(drop / "unit-a", "1.0.0")
+            assert host.hot_swap_cycle().activated == (("unit-a", "1.0.0"),)
+            assert host.dispatch(EP, {}) == {"stamp": "b1", "calls": 1}
+            assert compiles == [("unit-a", "1.0.0"), ("unit-a", "1.1.0"), ("unit-a", "1.0.0")]
+        finally:
+            host.stop()
+
+    def test_store_holds_only_versions_on_disk(self, tmp_path, compiles):
+        host = make_host(tmp_path)
+        drop = host.config.drop_dir
+        self.deploy(drop, "1.0.0", "v0")
+        self.deploy(drop, "1.0.0", "b0", name="unit-b")
+        host.start()
+        try:
+            for patch in range(1, 21):
+                self.deploy(drop, f"1.0.{patch}", f"v{patch}")
+                if patch >= 2:
+                    shutil.rmtree(drop / "unit-a" / f"1.0.{patch - 2}")
+                assert host.hot_swap_cycle().activated == (("unit-a", f"1.0.{patch}"),)
+                assert len(host._code_store._units["unit-a"]) <= 2
+            assert len(compiles) == 22
+            shutil.rmtree(drop / "unit-a")
+            assert host.hot_swap_cycle().deactivated == (("unit-a", "1.0.20"),)
+            assert list(host._code_store._units) == ["unit-b"]
+        finally:
+            host.stop()
+
+    def test_idle_ticks_leave_the_store_unchanged(self, tmp_path, compiles):
+        host = make_host(tmp_path)
+        drop = host.config.drop_dir
+        for name in ("unit-a", "unit-b", "unit-c"):
+            self.deploy(drop, "1.0.0", name, name=name)
+        host.start()
+        try:
+            self.deploy(drop, "1.1.0", "a2")
+            host.hot_swap_cycle()
+            (drop / "unit-c" / "disabled").touch()
+            host.hot_swap_cycle()
+
+            def entries():
+                return {(n, k): code for n, e in host._code_store._units.items() for k, code in e.items()}
+
+            before = entries()
+            assert len(before) == 4
+            for _ in range(20):
+                assert not host.hot_swap_cycle().changed
+            after = entries()
+            assert after.keys() == before.keys()
+            assert all(after[k] is before[k] for k in before)
+            assert len(compiles) == 4
+        finally:
+            host.stop()
+
+    def test_each_host_compiles_for_itself(self, tmp_path, compiles):
+        drop = tmp_path / "drop"
+        drop.mkdir()
+        for name in ("unit-a", "unit-b", "unit-c"):
+            self.deploy(drop, "1.0.0", name, name=name)
+        for _ in range(2):
+            host = make_host(tmp_path)
+            host.start()
+            assert len(host._code_store) == 3
+            host.stop()
+        assert sorted(compiles) == sorted([(n, "1.0.0") for n in ("unit-a", "unit-b", "unit-c")] * 2)
+
+    def test_failed_activation_stores_nothing(self, tmp_path, compiles):
+        host = make_host(tmp_path)
+        drop = host.config.drop_dir
+        write_bundle(drop, "unit-a", "1.0.0", "def load(context):\n    return False\n", self.BINDING)
+        host.start()
+        try:
+            assert host.registry.record_state("unit-a", "1.0.0") is UnitState.FAILED
+            assert len(host._code_store) == 0
+        finally:
+            host.stop()

@@ -1,7 +1,8 @@
 """Smoke check of the host on the running interpreter, standard library only.
 
-Starts a host over a temporary drop dir, dispatches, deploys a second
-version, pins the first one back and ticks, checking every result:
+Starts a host over a temporary drop dir, dispatches through two units,
+deploys a second version, pins the first one back and ticks, then lets a
+unit call run past its timeout, checking every result:
 
     PYTHONPATH=src python scripts/smoke.py
 """
@@ -11,24 +12,27 @@ from __future__ import annotations
 import io
 import sys
 import tempfile
+import time
 from pathlib import Path
 
-from scpa_host import Host, HostConfig, Layer, LayerBinding
+from scpa_host import ErrorPolicy, Host, HostConfig, Layer, LayerBinding
 from scpa_host.demo.bundles import build_bundle
 from scpa_host.registry import write_pin
 
 EP = "business.smoke.run"
 SOURCE = "def handle(payload, context):\n    return dict(payload, by={version!r})\n"
+SECOND = "def handle(payload, context):\n    return dict(payload, second=True)\n"
+SLEEPER = "import time\ndef handle(payload, context):\n    time.sleep(0.3)\n    return payload\n"
 
 
-def deploy(work: Path, version: str) -> None:
-    source = work / f"payload-{version}.py"
-    source.write_text(SOURCE.format(version=version), encoding="utf-8")
+def deploy(work: Path, version: str, name: str = "smoke", text: str = SOURCE, priority: int = 10) -> None:
+    source = work / f"payload-{name}-{version}.py"
+    source.write_text(text.format(version=version), encoding="utf-8")
     build_bundle(
-        work / "drop" / "smoke" / version,
-        name="smoke",
+        work / "drop" / name / version,
+        name=name,
         version=version,
-        priority=10,
+        priority=priority,
         source=source,
         bindings=[LayerBinding(Layer.BUSINESS, EP, "handle")],
     )
@@ -39,16 +43,58 @@ def expect(what: str, got, want) -> None:
         raise SystemExit(f"smoke: {what}: got {got!r}, want {want!r}")
 
 
+def traces(stream: io.StringIO, start: int) -> list[str]:
+    return [line for line in stream.getvalue()[start:].splitlines() if line.startswith("TRACE ")]
+
+
+def check_timeout() -> None:
+    """A call past its timeout is an ERROR record, and its worker leaves
+    the unit's running set once the handler returns."""
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        (work / "drop").mkdir()
+        deploy(work, "1.0.0", name="sleeper", text=SLEEPER)
+        stream = io.StringIO()
+        config = HostConfig(
+            drop_dir=work / "drop",
+            scan_interval_ms=60_000,
+            error_policy=ErrorPolicy.FAIL_OPEN,
+            unit_timeout_ms=50,
+            diagnostics=stream,
+        )
+        host = Host(config)
+        host.start()
+        try:
+            start = len(stream.getvalue())
+            expect("timed-out dispatch", host.dispatch(EP, {"n": 2}), {"n": 2})
+            expect("timed-out outcome", [line.split()[5] for line in traces(stream, start)], ["error"])
+            running = host._world.bound["sleeper"].running  # the host's BoundUnit for the unit
+            deadline = time.monotonic() + 2
+            while running and time.monotonic() < deadline:
+                time.sleep(0.01)
+            expect("running calls after the handler returned", len(running), 0)
+        finally:
+            host.stop()
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         (work / "drop").mkdir()
         deploy(work, "1.0.0")
-        config = HostConfig(drop_dir=work / "drop", scan_interval_ms=60_000, diagnostics=io.StringIO())
+        deploy(work, "1.0.0", name="second", text=SECOND, priority=20)
+        stream = io.StringIO()
+        config = HostConfig(drop_dir=work / "drop", scan_interval_ms=60_000, diagnostics=stream)
         host = Host(config)
         host.start()
         try:
-            expect("first dispatch", host.dispatch(EP, {"n": 1}), {"n": 1, "by": "1.0.0"})
+            start = len(stream.getvalue())
+            expect("first dispatch", host.dispatch(EP, {"n": 1}), {"n": 1, "by": "1.0.0", "second": True})
+            expect(
+                "first dispatch traces",
+                [line.split()[3] for line in traces(stream, start)],
+                ["smoke@1.0.0", "second@1.0.0"],
+            )
             deploy(work, "1.1.0")
             expect("deploy tick", host.hot_swap_cycle().activated, (("smoke", "1.1.0"),))
             expect("after deploy", host.dispatch(EP, {})["by"], "1.1.0")
@@ -58,6 +104,7 @@ def main() -> int:
             expect("idle tick", host.hot_swap_cycle().changed, False)
         finally:
             host.stop()
+    check_timeout()
     print(f"smoke ok on Python {sys.version.split()[0]}")
     return 0
 

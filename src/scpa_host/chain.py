@@ -7,7 +7,8 @@ from __future__ import annotations
 import copy  # noqa: F401  unused here; the benchmark's tracer rebinds chain.copy
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from _thread import start_new_thread
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Mapping, Sequence
 
@@ -78,13 +79,14 @@ class UnknownDivertTarget(DirectiveError):
 class BoundUnit:
     """A loaded unit instance plus its reentrancy gate (None when reentrant).
 
-    ``running`` holds the worker threads started on the unit that have not
-    returned yet, calls the chain gave up on after their timeout included.
+    ``running`` holds one token per started call on the unit that has not
+    returned yet (the call's ``done`` Event), calls the chain gave up on
+    after their timeout included.
     """
 
     unit: PipelineUnit
     gate: threading.Lock | None = None
-    running: set[threading.Thread] = field(default_factory=set, compare=False, repr=False)
+    running: set[threading.Event] = field(default_factory=set, compare=False, repr=False)
 
 
 def apply_directive(
@@ -127,6 +129,10 @@ def _call_unit(bound: BoundUnit, envelope: Envelope, timeout_s: float) -> _CallR
     Non-reentrant units are serialized through their gate; the gate is
     acquired inside the worker with the same budget so a stuck holder turns
     later calls into timeouts instead of ghost executions.
+
+    The worker is a bare ``_thread`` thread: nothing joins or names it, and
+    ``body`` contains every unit failure, so ``threading.Thread``'s start-up
+    handshake and bookkeeping would buy nothing here.
     """
     box: dict[str, object] = {}
     done = threading.Event()
@@ -135,7 +141,7 @@ def _call_unit(bound: BoundUnit, envelope: Envelope, timeout_s: float) -> _CallR
         gate = bound.gate
         if gate is not None and not gate.acquire(timeout=timeout_s):
             box["gate_timeout"] = True
-            bound.running.discard(worker)
+            bound.running.discard(done)
             done.set()
             return
         try:
@@ -156,15 +162,14 @@ def _call_unit(bound: BoundUnit, envelope: Envelope, timeout_s: float) -> _CallR
         finally:
             if gate is not None:
                 gate.release()
-            bound.running.discard(worker)
+            bound.running.discard(done)
             done.set()
 
-    worker = threading.Thread(target=body, daemon=True, name="scpa-unit-call")
-    bound.running.add(worker)  # before start(): no running worker is ever missed
+    bound.running.add(done)  # before the start: no running call is ever missed
     try:
-        worker.start()
+        start_new_thread(body, ())
     except BaseException:
-        bound.running.discard(worker)
+        bound.running.discard(done)
         raise
     finished = done.wait(timeout_s)
     if not finished or "gate_timeout" in box:
@@ -184,15 +189,19 @@ def _cross(env: Envelope, source: Envelope, twin: bool) -> tuple[Envelope, Envel
         payload, view_payload = copy_value_map(source.payload, twin=True)
         annotations, view_annotations = copy_value_map(source.annotations, "annotations", twin=True)
         return (
-            replace(env, payload=payload, annotations=annotations),
-            replace(env, payload=view_payload, annotations=view_annotations),
+            _with_maps(env, payload, annotations),
+            _with_maps(env, view_payload, view_annotations),
         )
-    env = replace(
-        env,
-        payload=copy_value_map(source.payload),
-        annotations=copy_value_map(source.annotations, "annotations"),
+    env = _with_maps(
+        env, copy_value_map(source.payload), copy_value_map(source.annotations, "annotations")
     )
     return env, env
+
+
+def _with_maps(env: Envelope, payload: dict, annotations: dict) -> Envelope:
+    """``env`` with new maps, built by the constructor: ``dataclasses.replace``
+    inspects the fields on every call, and this runs at every crossing."""
+    return Envelope(env.id, env.extension_point, payload, annotations, env.epoch, env.trace)
 
 
 def run_chain(
@@ -223,7 +232,10 @@ def run_chain(
     """
     order = snapshot.handlers_for(extension_point)  # sorted by the registry's commit
     fail_open = policy is ErrorPolicy.FAIL_OPEN
-    env = replace(envelope, epoch=snapshot.epoch, extension_point=extension_point)
+    env = Envelope(
+        envelope.id, extension_point, envelope.payload, envelope.annotations, snapshot.epoch,
+        envelope.trace,
+    )
     env, view = _cross(env, env, fail_open and bool(order))
     timeout_s = timeout_ms / 1000.0
     records: list[ExecutionRecord] = []
@@ -246,10 +258,8 @@ def run_chain(
             result = _CallResult(ok=False, error=f"unit {ref.unit} is not loaded")
         else:
             if view is None:  # the last view went to a unit that failed
-                view = replace(
-                    env,
-                    payload=copy_value_map(env.payload),
-                    annotations=copy_value_map(env.annotations, "annotations"),
+                view = _with_maps(
+                    env, copy_value_map(env.payload), copy_value_map(env.annotations, "annotations")
                 )
             result = _call_unit(bound, view, timeout_s)
             view = None
@@ -304,4 +314,6 @@ def run_chain(
             )
         position += 1  # FAIL_OPEN: pre-error envelope flows onward
 
-    return replace(env, trace=tuple(records))
+    return Envelope(
+        env.id, env.extension_point, env.payload, env.annotations, env.epoch, tuple(records)
+    )

@@ -13,7 +13,7 @@ import logging
 import re
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain as concat, repeat
 from typing import Any, Callable, Mapping, Protocol, runtime_checkable
@@ -560,7 +560,10 @@ class Envelope:
             raise ValueError("epoch must be >= 0")
 
     def with_payload(self, payload: dict[str, Any]) -> "Envelope":
-        return replace(self, payload=payload)
+        # the constructor, not dataclasses.replace, which inspects the fields per call
+        return Envelope(
+            self.id, self.extension_point, payload, self.annotations, self.epoch, self.trace
+        )
 
 
 _envelope_counter = 0

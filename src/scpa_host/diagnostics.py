@@ -10,9 +10,10 @@ from typing import TextIO
 class DiagnosticLog:
     """Writes one record per line to a stream; safe to share across threads.
 
-    A line the stream cannot take (closed, broken pipe, disk full) is
-    dropped and counted in ``dropped``: diagnostics never fail a dispatch
-    or a tick.
+    ``emit`` takes any number of lines and writes them together, with one
+    flush.  Lines the stream cannot take (closed, broken pipe, disk full)
+    are dropped and counted in ``dropped``: diagnostics never fail a
+    dispatch or a tick.
     """
 
     def __init__(self, stream: TextIO | None = None):
@@ -20,12 +21,14 @@ class DiagnosticLog:
         self._lock = threading.Lock()
         self.dropped = 0
 
-    def emit(self, line: str) -> None:
+    def emit(self, *lines: str) -> None:
+        if not lines:
+            return
         stream = self._stream if self._stream is not None else sys.stderr
         with self._lock:
             try:
-                print(line, file=stream, flush=True)
+                print("\n".join(lines), file=stream, flush=True)
             except (OSError, ValueError):
-                self.dropped += 1
+                self.dropped += len(lines)
 
     __call__ = emit

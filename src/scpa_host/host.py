@@ -4,6 +4,7 @@ draining, concurrent dispatch against pinned snapshots, and per-unit stats.
 
 from __future__ import annotations
 
+import functools
 import operator
 import threading
 import time
@@ -170,6 +171,20 @@ class _Resolved:
         )
 
 
+def _unit_context(drop_dir: Path, unit_name: str) -> HostContext:
+    """A unit's context, with its data dir under the drop folder.  The
+    Registry holds this bound to ``drop_dir`` alone, not to the Host, so a
+    stopped Host is freed by reference counting."""
+    data_dir = drop_dir / ".scpa" / "data" / unit_name
+    data_dir.mkdir(parents=True, exist_ok=True)
+    return HostContext(
+        host_version=HOST_VERSION,
+        unit_name=unit_name,
+        config={},
+        data_dir=data_dir,
+    )
+
+
 def _resolve(name: str, discoveries: list[Discovery], pin: str | None) -> Discovery | PinMissing:
     try:
         version = resolve_active(
@@ -200,7 +215,7 @@ class Host:
         self.diag = DiagnosticLog(config.diagnostics)
         self._registry = Registry(
             payload_unit_factory,
-            context_factory=self._make_context,
+            context_factory=functools.partial(_unit_context, config.drop_dir),
             pin_store=FilePinStore(config.drop_dir),
             diag=self.diag,
         )
@@ -263,16 +278,6 @@ class Host:
 
     def on_epoch_change(self, listener: Callable[[SwapReport], None]) -> None:
         self._epoch_listeners.append(listener)
-
-    def _make_context(self, unit_name: str) -> HostContext:
-        data_dir = self.config.drop_dir / ".scpa" / "data" / unit_name
-        data_dir.mkdir(parents=True, exist_ok=True)
-        return HostContext(
-            host_version=HOST_VERSION,
-            unit_name=unit_name,
-            config={},
-            data_dir=data_dir,
-        )
 
     # -- hot swap ----------------------------------------------------------
 
@@ -412,7 +417,9 @@ class Host:
         """Run one envelope through the chain for the extension point.
 
         The dispatch pins the current snapshot: it never observes units from
-        two different epochs, even while a hot swap is in progress.
+        two different epochs, even while a hot swap is in progress.  Its
+        TRACE lines are written together when it ends, a ChainError
+        included.
         """
         if not self._started:
             raise RuntimeError("host is not started")
@@ -423,6 +430,7 @@ class Host:
             keys = {(r.unit, r.version) for r in world.snapshot.handlers_for(extension_point)}
             for key in keys:
                 self._inflight[key] = self._inflight.get(key, 0) + 1
+        lines: list[str] = []
         try:
             # run_chain validates and copies the payload as it crosses in
             envelope = Envelope(
@@ -436,7 +444,7 @@ class Host:
                     self.config.error_policy,
                     units=world.bound,
                     timeout_ms=self.config.unit_timeout_ms,
-                    diag=self.diag,
+                    diag=lines.append,
                 )
             except ChainError as exc:
                 self._record_stats(exc.trace)
@@ -453,6 +461,7 @@ class Host:
                         drained = True
                     else:
                         self._inflight[key] = remaining
+            self.diag(*lines)
             if drained:
                 with self._writer_lock:
                     self._retire_drained()

@@ -597,6 +597,49 @@ class TestRunningCalls:
             time.sleep(0.01)
         assert bound["aa"].running == set()
 
+    def test_a_worker_that_cannot_start_fails_the_dispatch_and_leaves_no_token(self, monkeypatch):
+        import scpa_host.chain as chain_mod
+
+        snapshot, bound = build_fn_units(("aa", 10, lambda envelope: envelope))
+
+        def refuse(function, args):
+            raise RuntimeError("can't start new thread")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(chain_mod, "start_new_thread", refuse)
+            with pytest.raises(RuntimeError, match="^can't start new thread$"):
+                run_chain(snapshot, EP, make_envelope(EP, {}), units=bound)
+        assert bound["aa"].running == set()
+        out = run_chain(snapshot, EP, make_envelope(EP, {"k": 1}), units=bound)
+        assert out.payload == {"k": 1}
+        assert [r.outcome for r in out.trace] == [Outcome.OK]
+
+    def test_handlers_that_log_leave_no_thread_behind(self):
+        import logging
+
+        logger = logging.getLogger("scpa-test.unit-calls")
+        handler = logging.NullHandler()
+        logger.addHandler(handler)
+        logger.setLevel(logging.DEBUG)
+        logger.propagate = False
+
+        def logs(envelope):
+            logger.info("call %s", envelope.payload["n"])  # reads threading.current_thread()
+            return envelope
+
+        snapshot, bound = build_fn_units(("aa", 10, logs), ("bb", 20, logs), ("cc", 30, logs))
+        try:
+            for n in range(1000):
+                out = run_chain(snapshot, EP, make_envelope(EP, {"n": n}), units=bound)
+                assert [r.outcome for r in out.trace] == [Outcome.OK] * 3
+        finally:
+            logger.removeHandler(handler)
+        assert len(threading._active) <= 16
+        deadline = time.monotonic() + 5
+        while any(b.running for b in bound.values()) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert all(b.running == set() for b in bound.values())
+
 
 class TestEnvelopeIsolation:
     def test_shared_sub_values_are_walked_once(self):

@@ -1,10 +1,12 @@
 """Host runtime: start/dispatch/status, hot-swap cycles, draining, restart."""
 
+import gc
 import io
 import random
 import shutil
 import threading
 import time
+import weakref
 from pathlib import Path
 from types import MappingProxyType
 
@@ -40,6 +42,16 @@ def make_host(tmp_path, **overrides) -> Host:
     )
     defaults.update(overrides)
     return Host(HostConfig(**defaults))
+
+
+class FlushCounting(io.StringIO):
+    """A diagnostics stream that counts its flushes."""
+
+    flushes = 0
+
+    def flush(self):
+        self.flushes += 1
+        super().flush()
 
 
 class TestHostConfig:
@@ -118,6 +130,24 @@ class TestStart:
             assert [(r.name, r.state) for r in status.units] == [("unit-a", "active")]
         finally:
             host.stop()
+
+    def test_a_stopped_host_is_freed_without_the_cyclic_gc(self, tmp_path):
+        host = make_host(tmp_path)
+        write_bundle(
+            host.config.drop_dir, "unit-a", "1.0.0", APPEND.format(stamp="a"), [("business", EP, "handle")]
+        )
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            host.start()
+            assert host.dispatch(EP, {"log": ""}) == {"log": "a"}
+            host.stop()
+            ref = weakref.ref(host)
+            del host
+            assert ref() is None
+        finally:
+            if gc_was_enabled:
+                gc.enable()
 
     def test_missing_drop_dir(self, tmp_path):
         host = Host(HostConfig(drop_dir=tmp_path / "missing", diagnostics=io.StringIO()))
@@ -198,6 +228,60 @@ class TestDispatch:
         try:
             results = [host.dispatch(EP, {"n": n, "rows": []}) for n in range(3)]
             assert results == [{"n": n, "rows": []} for n in range(3)]
+        finally:
+            host.stop()
+
+    def test_a_dispatch_writes_its_trace_lines_together_in_chain_order(self, tmp_path):
+        stream = FlushCounting()
+        host = make_host(tmp_path, diagnostics=stream)
+        for stamp, priority in (("a", 30), ("b", 10), ("c", 20)):
+            write_bundle(
+                host.config.drop_dir, f"unit-{stamp}", "1.0.0", APPEND.format(stamp=stamp),
+                [("business", EP, "handle")], priority=priority,
+            )
+        host.start()
+        try:
+            written, flushes = len(stream.getvalue()), stream.flushes
+            assert host.dispatch(EP, {"log": ""}) == {"log": "bca"}
+            lines = stream.getvalue()[written:].splitlines()
+            assert stream.flushes == flushes + 1
+            assert [(f[0], f[3]) for f in map(str.split, lines)] == [
+                ("TRACE", "unit-b@1.0.0"), ("TRACE", "unit-c@1.0.0"), ("TRACE", "unit-a@1.0.0"),
+            ]
+        finally:
+            host.stop()
+
+    def test_a_failed_dispatch_still_writes_the_trace_lines_of_its_calls(self, tmp_path):
+        stream = FlushCounting()
+        host = make_host(tmp_path, diagnostics=stream, error_policy=ErrorPolicy.FAIL_CLOSED)
+        drop = host.config.drop_dir
+        write_bundle(drop, "unit-a", "1.0.0", APPEND.format(stamp="a"), [("business", EP, "handle")], priority=10)
+        write_bundle(drop, "unit-b", "1.0.0", FAILING, [("business", EP, "handle")], priority=20)
+        write_bundle(drop, "unit-c", "1.0.0", APPEND.format(stamp="c"), [("business", EP, "handle")], priority=30)
+        host.start()
+        try:
+            written, flushes = len(stream.getvalue()), stream.flushes
+            with pytest.raises(ChainError):
+                host.dispatch(EP, {"log": ""})
+            lines = stream.getvalue()[written:].splitlines()
+            assert stream.flushes == flushes + 1
+            assert [(f[3], f[5]) for f in map(str.split, lines)] == [
+                ("unit-a@1.0.0", "ok"), ("unit-b@1.0.0", "error"),
+            ]
+        finally:
+            host.stop()
+
+    def test_a_dispatch_with_no_unit_bound_writes_nothing(self, tmp_path):
+        stream = FlushCounting()
+        host = make_host(tmp_path, diagnostics=stream)
+        write_bundle(
+            host.config.drop_dir, "unit-a", "1.0.0", APPEND.format(stamp="a"), [("business", EP, "handle")]
+        )
+        host.start()
+        try:
+            written, flushes = stream.getvalue(), stream.flushes
+            assert host.dispatch("ui.nothing.here", {"k": 1}) == {"k": 1}
+            assert (stream.getvalue(), stream.flushes) == (written, flushes)
         finally:
             host.stop()
 

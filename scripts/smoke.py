@@ -2,7 +2,8 @@
 
 Starts a host over a temporary drop dir, dispatches through two units,
 deploys a second version, pins the first one back and ticks, then lets a
-unit call run past its timeout, checking every result:
+unit call run past its timeout and replaces its version while the call
+still runs, checking every result:
 
     PYTHONPATH=src python scripts/smoke.py
 """
@@ -47,9 +48,14 @@ def traces(stream: io.StringIO, start: int) -> list[str]:
     return [line for line in stream.getvalue()[start:].splitlines() if line.startswith("TRACE ")]
 
 
+def state(host: Host, name: str, version: str) -> str:
+    return next(row.state for row in host.status().units if (row.name, row.version) == (name, version))
+
+
 def check_timeout() -> None:
-    """A call past its timeout is an ERROR record, and its worker leaves
-    the unit's running set once the handler returns."""
+    """A call past its timeout is an ERROR record, its worker leaves the
+    unit's running set once the handler returns, and until then it keeps
+    its replaced version draining."""
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         (work / "drop").mkdir()
@@ -69,10 +75,15 @@ def check_timeout() -> None:
             expect("timed-out dispatch", host.dispatch(EP, {"n": 2}), {"n": 2})
             expect("timed-out outcome", [line.split()[5] for line in traces(stream, start)], ["error"])
             running = host._world.bound["sleeper"].running  # the host's BoundUnit for the unit
+            deploy(work, "1.0.1", name="sleeper", text=SLEEPER)
+            expect("replacing tick", host.hot_swap_cycle().activated, (("sleeper", "1.0.1"),))
+            expect("while the abandoned call runs", state(host, "sleeper", "1.0.0"), "draining")
             deadline = time.monotonic() + 2
             while running and time.monotonic() < deadline:
                 time.sleep(0.01)
             expect("running calls after the handler returned", len(running), 0)
+            host.hot_swap_cycle()
+            expect("after the call returned and a tick", state(host, "sleeper", "1.0.0"), "retired")
         finally:
             host.stop()
 

@@ -79,14 +79,14 @@ class UnknownDivertTarget(DirectiveError):
 class BoundUnit:
     """A loaded unit instance plus its reentrancy gate (None when reentrant).
 
-    ``running`` holds one token per started call on the unit that has not
-    returned yet (the call's ``done`` Event), calls the chain gave up on
-    after their timeout included.
+    ``running`` holds one token per holder of the unit: each started call
+    not yet returned (its ``done`` Event), abandoned ones included, and in a
+    host each dispatch routed to it; the host shares its registry entry's set.
     """
 
     unit: PipelineUnit
     gate: threading.Lock | None = None
-    running: set[threading.Event] = field(default_factory=set, compare=False, repr=False)
+    running: set[object] = field(default_factory=set, compare=False, repr=False)
 
 
 def apply_directive(
@@ -258,9 +258,7 @@ def run_chain(
             result = _CallResult(ok=False, error=f"unit {ref.unit} is not loaded")
         else:
             if view is None:  # the last view went to a unit that failed
-                view = _with_maps(
-                    env, copy_value_map(env.payload), copy_value_map(env.annotations, "annotations")
-                )
+                _, view = _cross(env, env, False)
             result = _call_unit(bound, view, timeout_s)
             view = None
         duration_us = max(0, int((time.perf_counter() - started) * 1_000_000))

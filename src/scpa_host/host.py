@@ -104,12 +104,13 @@ def load_host_config(path: Path, drop_dir: Path | None = None) -> HostConfig:
         if policy is None:
             raise HostConfigError("error_policy must be fail_open or fail_closed")
         kwargs["error_policy"] = policy
+    config = HostConfig(**kwargs)  # validated before the file is opened, so a reject leaks none
     if "diagnostics" in values and values["diagnostics"] != "stderr":
         try:
-            kwargs["diagnostics"] = open(values["diagnostics"], "a", buffering=1, encoding="utf-8")
+            config.diagnostics = open(values["diagnostics"], "a", buffering=1, encoding="utf-8")
         except OSError as exc:
             raise HostConfigError(f"diagnostics: cannot open {values['diagnostics']}: {exc}") from None
-    return HostConfig(**kwargs)
+    return config
 
 
 @dataclass(frozen=True)
@@ -225,9 +226,6 @@ class Host:
         self._writer_lock = threading.RLock()
         self._gate_lock = threading.Lock()
         self._world = _World(snapshot=EMPTY_SNAPSHOT, bound={})
-        self._inflight: dict[tuple[str, str], int] = {}
-        # replaced BoundUnits: calls still running on one hold off its unload()
-        self._draining_bound: dict[tuple[str, str], BoundUnit] = {}
         self._stats: dict[tuple[str, str], _UnitStats] = {}
         self._stats_lock = threading.Lock()
         self._epoch_listeners: list[Callable[[SwapReport], None]] = []
@@ -330,7 +328,7 @@ class Host:
                 version = self._registry.active_version(name)
                 self._registry.deactivate(name)
                 deactivated.append((name, version or "?"))
-                self._publish_world(name, version)
+                self._publish_world(name)
 
             for name in sorted(desired):
                 discovery = desired[name]
@@ -365,9 +363,9 @@ class Host:
                 if current is not None:
                     deactivated.append((name, current))
                 activated.append((name, discovery.version))
-                self._publish_world(name, current)
+                self._publish_world(name)
 
-            self._retire_drained()
+            self._registry.retire_drained()
             report = SwapReport(
                 start_epoch=start_epoch,
                 end_epoch=self._registry.snapshot.epoch,
@@ -383,33 +381,20 @@ class Host:
                     self.diag(f"ERROR epoch listener failed: {type(exc).__name__}: {exc}")
         return report
 
-    def _publish_world(self, name: str, replaced: str | None) -> None:
+    def _publish_world(self, name: str) -> None:
         """Publish the registry's snapshot with ``name``'s BoundUnit rebuilt
         (or dropped) and every other one carried over as the same object.
-        The ``replaced`` version's BoundUnit is kept until it retires."""
-        previous = self._world.bound
-        bound = dict(previous)
+        A BoundUnit shares its registry entry's ``running`` set, so a
+        replaced version stays held while anything still runs on it."""
+        bound = dict(self._world.bound)
         entry = self._registry.active_entry(name)
         if entry is None:
             bound.pop(name, None)
         else:
-            bound[name] = BoundUnit(unit=entry.unit, gate=entry.gate)
-        if replaced is not None and name in previous:
-            self._draining_bound[(name, replaced)] = previous[name]
+            bound[name] = BoundUnit(unit=entry.unit, gate=entry.gate, running=entry.running)
         world = _World(snapshot=self._registry.snapshot, bound=bound)
         with self._gate_lock:
             self._world = world
-
-    def _retire_drained(self) -> None:
-        """Retire each draining version that no dispatch holds and no call,
-        not even one a dispatch gave up on, still runs on."""
-        for key in sorted(self._registry.draining_versions()):
-            with self._gate_lock:
-                busy = self._inflight.get(key, 0) > 0
-            bound = self._draining_bound.get(key)
-            if not busy and (bound is None or not bound.running):
-                self._draining_bound.pop(key, None)
-                self._registry.retire_if_drained(*key)
 
     # -- dispatch ----------------------------------------------------------
 
@@ -425,11 +410,16 @@ class Host:
             raise RuntimeError("host is not started")
         if not EXTENSION_POINT_RE.match(extension_point):
             raise ValueError(f"bad extension point {extension_point!r}")
+        token = object()
+        # under the lock _publish_world swaps under: once a version is out of
+        # the published world no holder can join it, so a retire sees them all
         with self._gate_lock:
             world = self._world
-            keys = {(r.unit, r.version) for r in world.snapshot.handlers_for(extension_point)}
-            for key in keys:
-                self._inflight[key] = self._inflight.get(key, 0) + 1
+            # deduped by name, since BoundUnit is an unhashable dataclass
+            routed = {r.unit for r in world.snapshot.handlers_for(extension_point)}
+            held = [world.bound[name] for name in routed if name in world.bound]
+            for bound in held:
+                bound.running.add(token)
         lines: list[str] = []
         try:
             # run_chain validates and copies the payload as it crosses in
@@ -452,19 +442,14 @@ class Host:
             self._record_stats(result.trace)
             return result.payload
         finally:
-            drained = False
-            with self._gate_lock:
-                for key in keys:
-                    remaining = self._inflight.get(key, 1) - 1
-                    if remaining <= 0:
-                        self._inflight.pop(key, None)
-                        drained = True
-                    else:
-                        self._inflight[key] = remaining
+            for bound in held:
+                bound.running.discard(token)
             self.diag(*lines)
-            if drained:
-                with self._writer_lock:
-                    self._retire_drained()
+            # On every dispatch, not only replaced worlds: one ending during a
+            # tick waits here, so on one CPU the tick runs without a client
+            # taking the GIL (skipping it made deploy_churn tick p50s 80-93% slower).
+            with self._writer_lock:
+                self._registry.retire_drained()
 
     def _record_stats(self, trace: tuple[ExecutionRecord, ...]) -> None:
         with self._stats_lock:

@@ -493,10 +493,15 @@ class _VersionRecord:
 
 @dataclass
 class _ActiveEntry:
+    """One loaded unit@version until it retires.  ``running`` holds one token
+    per holder: each dispatch whose snapshot routes to it and each started
+    call, abandoned ones included.  A draining version retires once it is empty."""
+
     version: str
     manifest: Manifest
     unit: PipelineUnit
     gate: threading.Lock | None
+    running: set[object] = field(default_factory=set, compare=False, repr=False)
 
 
 UnitFactory = Callable[[Discovery, HostContext], PipelineUnit]
@@ -531,7 +536,7 @@ class Registry:
         self._listener = transition_listener
         self._records: dict[tuple[str, str], _VersionRecord] = {}
         self._active: dict[str, _ActiveEntry] = {}
-        self._draining: dict[tuple[str, str], PipelineUnit] = {}
+        self._draining: dict[tuple[str, str], _ActiveEntry] = {}
         self._snapshot = EMPTY_SNAPSHOT
 
     @property
@@ -562,9 +567,6 @@ class Registry:
 
     def records(self) -> dict[tuple[str, str], tuple[UnitState, str]]:
         return {key: (rec.state, rec.reason) for key, rec in self._records.items()}
-
-    def draining_versions(self) -> set[tuple[str, str]]:
-        return set(self._draining)
 
     # -- state machine -------------------------------------------------
 
@@ -659,9 +661,10 @@ class Registry:
             report = unit.load(context)
         except ChecksumMismatch as exc:
             raise PayloadChanged(discovery.name, str(exc)) from exc
-        except Exception as exc:
-            self._transition(discovery.name, discovery.version, UnitState.FAILED, str(exc))
-            raise LoadFailed(discovery.name, str(exc)) from exc
+        except (Exception, SystemExit) as exc:  # sys.exit() in the module body or load() too
+            reason = f"{type(exc).__name__}: {exc}"
+            self._transition(discovery.name, discovery.version, UnitState.FAILED, reason)
+            raise LoadFailed(discovery.name, reason) from exc
         if isinstance(report, LoadReport) and not report.ok:
             self._transition(discovery.name, discovery.version, UnitState.FAILED, report.message)
             raise LoadFailed(discovery.name, report.message or "load reported failure")
@@ -669,7 +672,7 @@ class Registry:
         previous = self._active.get(discovery.name)
         if previous is not None:
             self._transition(discovery.name, previous.version, UnitState.DRAINING, "replaced")
-            self._draining[(discovery.name, previous.version)] = previous.unit
+            self._draining[(discovery.name, previous.version)] = previous
         self._transition(discovery.name, discovery.version, UnitState.ACTIVE)
         self._active[discovery.name] = _ActiveEntry(
             version=discovery.version,
@@ -687,7 +690,7 @@ class Registry:
         if entry is None:
             raise NotActive(name)
         self._transition(name, entry.version, UnitState.DRAINING, "deactivated")
-        self._draining[(name, entry.version)] = entry.unit
+        self._draining[(name, entry.version)] = entry
         reason = reason or f"deactivate {name}@{entry.version}"
         return self._commit(name, entry.manifest, None, reason)
 
@@ -709,15 +712,23 @@ class Registry:
         )
 
     def retire_if_drained(self, name: str, version: str) -> bool:
-        """Finish draining: transition to Retired and call unload() once."""
-        unit = self._draining.pop((name, version), None)
-        if unit is None:
+        """Finish draining a version nothing holds any more: transition to
+        Retired and call unload() once.  False while it still has holders."""
+        entry = self._draining.get((name, version))
+        if entry is None or entry.running:
             return False
+        del self._draining[(name, version)]
         self._transition(name, version, UnitState.RETIRED, "drained")
-        unload = getattr(unit, "unload", None)
+        unload = getattr(entry.unit, "unload", None)
         if callable(unload):
             try:
                 unload()
-            except Exception:
-                pass
+            except (Exception, SystemExit) as exc:  # sys.exit() in unload() too
+                if self._diag is not None:
+                    self._diag(f"ERROR unload {name}@{version} failed: {type(exc).__name__}: {exc}")
         return True
+
+    def retire_drained(self) -> None:
+        """Retire every draining version that nothing holds any more."""
+        for name, version in sorted(self._draining):
+            self.retire_if_drained(name, version)

@@ -4,8 +4,10 @@ import gc
 import io
 import random
 import shutil
+import sys
 import threading
 import time
+import warnings
 import weakref
 from pathlib import Path
 from types import MappingProxyType
@@ -106,6 +108,16 @@ class TestHostConfig:
         cfg.write_text("just junk\n")
         with pytest.raises(HostConfigError):
             load_host_config(cfg, drop_dir=tmp_path)
+
+    def test_a_rejected_config_leaves_no_diagnostics_file_open(self, tmp_path):
+        cfg = tmp_path / "host.conf"
+        cfg.write_text(f"scan_interval_ms: 1\ndiagnostics: {tmp_path / 'diag.log'}\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with pytest.raises(HostConfigError):
+                load_host_config(cfg, drop_dir=tmp_path)
+            gc.collect()
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 class TestStart:
@@ -651,6 +663,132 @@ class TestDraining:
         finally:
             host.stop()
 
+    def test_a_dispatch_holds_each_routed_version_until_it_ends(self, tmp_path):
+        host = make_host(tmp_path, unit_timeout_ms=10_000)
+        drop = host.config.drop_dir
+        entered, release = tmp_path / "entered", tmp_path / "release"
+        waiting = (
+            "import time\n"
+            "from pathlib import Path\n"
+            "def handle(payload, context):\n"
+            f"    Path({str(entered)!r}).touch()\n"
+            "    deadline = time.monotonic() + 10\n"
+            f"    while not Path({str(release)!r}).exists() and time.monotonic() < deadline:\n"
+            "        time.sleep(0.01)\n"
+            "    return dict(payload)\n"
+        )
+        marking = (
+            "from pathlib import Path\n"
+            "MARKS = None\n"
+            "def mark(event):\n"
+            "    with MARKS.open('a') as fh:\n"
+            "        fh.write(f'{{event}} {version}\\n')\n"
+            "def load(context):\n"
+            "    global MARKS\n"
+            "    MARKS = Path(context.data_dir) / 'marks.txt'\n"
+            "def handle(payload, context):\n"
+            "    mark('execute')\n"
+            "    return dict(payload, by={version!r})\n"
+            "def unload():\n"
+            "    mark('unload')\n"
+        )
+        bindings = [("business", EP, "handle")]
+        write_bundle(drop, "unit-a", "1.0.0", waiting, bindings, priority=10)
+        write_bundle(drop, "unit-b", "1.0.0", marking.format(version="1.0.0"), bindings, priority=20)
+        host.start()
+        results = []
+        worker = threading.Thread(target=lambda: results.append(host.dispatch(EP, {})))
+        try:
+            worker.start()
+            deadline = time.monotonic() + 5
+            while not entered.exists():
+                assert time.monotonic() < deadline, "the dispatch never reached unit-a"
+                time.sleep(0.01)
+            write_bundle(drop, "unit-b", "1.0.1", marking.format(version="1.0.1"), bindings, priority=20)
+            assert host.hot_swap_cycle().activated == (("unit-b", "1.0.1"),)
+            host.hot_swap_cycle()
+            assert host.registry.record_state("unit-b", "1.0.0") is UnitState.DRAINING
+
+            release.touch()
+            worker.join(timeout=5)
+            assert not worker.is_alive()
+            assert results == [{"by": "1.0.0"}]
+            marks = drop / ".scpa" / "data" / "unit-b" / "marks.txt"
+            assert marks.read_text().splitlines() == ["execute 1.0.0", "unload 1.0.0"]
+            # retired by the dispatch's own end, with no further tick
+            assert host.registry.record_state("unit-b", "1.0.0") is UnitState.RETIRED
+        finally:
+            release.touch()
+            worker.join(timeout=5)
+            host.stop()
+
+    def test_under_concurrent_dispatch_each_version_unloads_after_its_last_call(self, tmp_path):
+        host = make_host(tmp_path, unit_timeout_ms=10_000)
+        drop = host.config.drop_dir
+        marking = (
+            "from pathlib import Path\n"
+            "MARKS = None\n"
+            "def mark(event):\n"
+            "    with MARKS.open('a') as fh:\n"
+            "        fh.write(f'{{event}} {version}\\n')\n"
+            "def load(context):\n"
+            "    global MARKS\n"
+            "    MARKS = Path(context.data_dir) / 'marks.txt'\n"
+            "def handle(payload, context):\n"
+            "    mark('start')\n"
+            "    mark('end')\n"
+            "    return dict(payload)\n"
+            "def unload():\n"
+            "    mark('unload')\n"
+        )
+        bindings = [("business", EP, "handle")]
+        write_bundle(drop, "unit-a", "1.0.0", APPEND.format(stamp="a"), bindings, priority=10)
+        versions = [f"1.0.{i}" for i in range(12)]
+        write_bundle(drop, "unit-b", versions[0], marking.format(version=versions[0]), bindings, priority=20)
+        host.start()
+        stop = threading.Event()
+        errors = []
+
+        def client():
+            while not stop.is_set():
+                try:
+                    host.dispatch(EP, {})
+                except Exception as exc:  # reported below
+                    errors.append(exc)
+                    return
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        clients = [threading.Thread(target=client) for _ in range(6)]
+        try:
+            for t in clients:
+                t.start()
+            for version in versions[1:]:
+                time.sleep(0.02)
+                write_bundle(drop, "unit-b", version, marking.format(version=version), bindings, priority=20)
+                assert host.hot_swap_cycle().activated == (("unit-b", version),)
+        finally:
+            stop.set()
+            for t in clients:
+                t.join(timeout=10)
+            sys.setswitchinterval(interval)
+        try:
+            assert not any(t.is_alive() for t in clients)
+            assert errors == []
+            host.hot_swap_cycle()
+            assert [host.registry.record_state("unit-b", v) for v in versions] == [
+                UnitState.RETIRED
+            ] * 11 + [UnitState.ACTIVE]
+            assert all(bound.running == set() for bound in host._world.bound.values())
+            marks = [line.split() for line in (drop / ".scpa" / "data" / "unit-b" / "marks.txt").read_text().splitlines()]
+            for version in versions[:-1]:
+                events = [event for event, v in marks if v == version]
+                assert events.count("unload") == 1
+                assert events[-1] == "unload", f"{version} ran after its unload"
+                assert events.count("start") == events.count("end")
+        finally:
+            host.stop()
+
 
 class TestIncrementalPublish:
     def test_bound_units_follow_the_active_entries_and_untouched_ones_are_kept(self, tmp_path):
@@ -1090,3 +1228,62 @@ class TestCodeReuse:
             assert len(host._code_store) == 0
         finally:
             host.stop()
+
+
+class TestSystemExitInPayload:
+    """A payload that calls sys.exit() while it loads or unloads fails only
+    itself: the watcher lives on and activates what is deployed next."""
+
+    @staticmethod
+    def wait_for(condition, what):
+        deadline = time.monotonic() + 5
+        while not condition():
+            assert time.monotonic() < deadline, what
+            time.sleep(0.02)
+
+    def deploy_good_unit_and_wait(self, host):
+        write_bundle(host.config.drop_dir, "good", "1.0.0", APPEND.format(stamp="g"), [("business", EP, "handle")])
+        self.wait_for(lambda: host.registry.active_version("good") == "1.0.0", "the watcher stopped activating")
+        assert host._watcher.is_alive()
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "import sys\nsys.exit(2)\n",
+            "import sys\ndef load(context):\n    sys.exit(2)\ndef handle(payload, context):\n    return payload\n",
+        ],
+        ids=["module-body", "load"],
+    )
+    def test_sys_exit_while_loading_fails_the_version(self, tmp_path, source):
+        stream = io.StringIO()
+        host = make_host(tmp_path, scan_interval_ms=20, diagnostics=stream).start()
+        try:
+            write_bundle(host.config.drop_dir, "quitter", "1.0.0", source, [("business", EP, "handle")])
+            self.wait_for(
+                lambda: host.registry.record_state("quitter", "1.0.0") is UnitState.FAILED,
+                "the version never became Failed",
+            )
+            self.deploy_good_unit_and_wait(host)
+        finally:
+            host.stop()
+        rejects = [line for line in stream.getvalue().splitlines() if line.startswith("REJECT ")]
+        assert [line.split(" ", 2)[2] for line in rejects] == ["load-failed SystemExit: 2"]
+
+    def test_sys_exit_in_unload_is_reported(self, tmp_path):
+        stream = io.StringIO()
+        host = make_host(tmp_path, scan_interval_ms=20, diagnostics=stream)
+        quitting = "import sys\ndef handle(payload, context):\n    return payload\ndef unload():\n    sys.exit(3)\n"
+        write_bundle(host.config.drop_dir, "quitter", "1.0.0", quitting, [("business", EP, "handle")])
+        host.start()
+        try:
+            write_bundle(
+                host.config.drop_dir, "quitter", "1.0.1", APPEND.format(stamp="q"), [("business", EP, "handle")]
+            )
+            self.wait_for(
+                lambda: host.registry.record_state("quitter", "1.0.0") is UnitState.RETIRED,
+                "the replaced version never retired",
+            )
+            self.deploy_good_unit_and_wait(host)
+        finally:
+            host.stop()
+        assert "ERROR unload quitter@1.0.0 failed: SystemExit: 3" in stream.getvalue().splitlines()

@@ -6,10 +6,14 @@ unit call run past its timeout and replaces its version while the call
 still runs, checking every result:
 
     PYTHONPATH=src python scripts/smoke.py
+
+Under ``-X dev`` a ResourceWarning (an unclosed file or socket) fails it too:
+such a warning is raised in a finalizer, where ``-W error`` cannot reach it.
 """
 
 from __future__ import annotations
 
+import gc
 import io
 import sys
 import tempfile
@@ -74,7 +78,7 @@ def check_timeout() -> None:
             start = len(stream.getvalue())
             expect("timed-out dispatch", host.dispatch(EP, {"n": 2}), {"n": 2})
             expect("timed-out outcome", [line.split()[5] for line in traces(stream, start)], ["error"])
-            running = host._world.bound["sleeper"].running  # the host's BoundUnit for the unit
+            running = host.registry.snapshot.bound["sleeper"].running  # the unit's one BoundUnit
             deploy(work, "1.0.1", name="sleeper", text=SLEEPER)
             expect("replacing tick", host.hot_swap_cycle().activated, (("sleeper", "1.0.1"),))
             expect("while the abandoned call runs", state(host, "sleeper", "1.0.0"), "draining")
@@ -89,6 +93,8 @@ def check_timeout() -> None:
 
 
 def main() -> int:
+    unraisable = []
+    sys.unraisablehook = unraisable.append
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         (work / "drop").mkdir()
@@ -116,6 +122,8 @@ def main() -> int:
         finally:
             host.stop()
     check_timeout()
+    gc.collect()
+    expect("warnings raised in finalizers", [str(u.exc_value) for u in unraisable], [])
     print(f"smoke ok on Python {sys.version.split()[0]}")
     return 0
 

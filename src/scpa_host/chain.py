@@ -8,7 +8,7 @@ import copy  # noqa: F401  unused here; the benchmark's tracer rebinds chain.cop
 import threading
 import time
 from _thread import start_new_thread
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Mapping, Sequence
 
@@ -19,14 +19,13 @@ from .contract import (
     Envelope,
     ExecutionRecord,
     Outcome,
-    PipelineUnit,
     Stop,
     UnitExecutionError,
     copy_value_map,
     format_directive,
     validate_value_map,  # noqa: F401  unused here; the benchmark's tracer rebinds it
 )
-from .registry import HandlerRef, RegistrySnapshot, order_units  # noqa: F401  order_units: re-exported
+from .registry import BoundUnit, HandlerRef, RegistrySnapshot, order_units  # noqa: F401  order_units: re-exported
 
 DEFAULT_TIMEOUT_MS = 5000
 
@@ -73,20 +72,6 @@ class UnknownDivertTarget(DirectiveError):
         super().__init__(f"{unit} diverted to {target}, which is not bound to this chain")
         self.unit = unit
         self.target = target
-
-
-@dataclass
-class BoundUnit:
-    """A loaded unit instance plus its reentrancy gate (None when reentrant).
-
-    ``running`` holds one token per holder of the unit: each started call
-    not yet returned (its ``done`` Event), abandoned ones included, and in a
-    host each dispatch routed to it; the host shares its registry entry's set.
-    """
-
-    unit: PipelineUnit
-    gate: threading.Lock | None = None
-    running: set[object] = field(default_factory=set, compare=False, repr=False)
 
 
 def apply_directive(

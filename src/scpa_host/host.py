@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, Mapping, TextIO
 
-from .chain import BoundUnit, ChainError, DEFAULT_TIMEOUT_MS, ErrorPolicy, run_chain
+from .chain import ChainError, DEFAULT_TIMEOUT_MS, ErrorPolicy, run_chain
 from .contract import (
     EXTENSION_POINT_RE,
     HOST_VERSION,
@@ -28,13 +28,11 @@ from .loading import CodeStore, payload_unit_factory
 from .registry import (
     Discovery,
     DropDirUnreadable,
-    EMPTY_SNAPSHOT,
     FilePinStore,
     LoadFailed,
     PayloadChanged,
     PinMissing,
     Registry,
-    RegistrySnapshot,
     Reject,
     ScanCache,
     UnitState,
@@ -147,14 +145,6 @@ class SwapReport:
 
 
 @dataclass(frozen=True)
-class _World:
-    """What one dispatch sees: a snapshot and the instances backing it."""
-
-    snapshot: RegistrySnapshot
-    bound: Mapping[str, BoundUnit]
-
-
-@dataclass(frozen=True)
 class _Resolved:
     """One unit's version choice on a tick, reused on a later tick that scans
     the identical Discovery objects and pin.  Holding the objects keeps
@@ -224,8 +214,6 @@ class Host:
         self._resolved: dict[str, _Resolved] = {}
         self._code_store = CodeStore()
         self._writer_lock = threading.RLock()
-        self._gate_lock = threading.Lock()
-        self._world = _World(snapshot=EMPTY_SNAPSHOT, bound={})
         self._stats: dict[tuple[str, str], _UnitStats] = {}
         self._stats_lock = threading.Lock()
         self._epoch_listeners: list[Callable[[SwapReport], None]] = []
@@ -328,7 +316,6 @@ class Host:
                 version = self._registry.active_version(name)
                 self._registry.deactivate(name)
                 deactivated.append((name, version or "?"))
-                self._publish_world(name)
 
             for name in sorted(desired):
                 discovery = desired[name]
@@ -363,7 +350,6 @@ class Host:
                 if current is not None:
                     deactivated.append((name, current))
                 activated.append((name, discovery.version))
-                self._publish_world(name)
 
             self._registry.retire_drained()
             report = SwapReport(
@@ -381,21 +367,6 @@ class Host:
                     self.diag(f"ERROR epoch listener failed: {type(exc).__name__}: {exc}")
         return report
 
-    def _publish_world(self, name: str) -> None:
-        """Publish the registry's snapshot with ``name``'s BoundUnit rebuilt
-        (or dropped) and every other one carried over as the same object.
-        A BoundUnit shares its registry entry's ``running`` set, so a
-        replaced version stays held while anything still runs on it."""
-        bound = dict(self._world.bound)
-        entry = self._registry.active_entry(name)
-        if entry is None:
-            bound.pop(name, None)
-        else:
-            bound[name] = BoundUnit(unit=entry.unit, gate=entry.gate, running=entry.running)
-        world = _World(snapshot=self._registry.snapshot, bound=bound)
-        with self._gate_lock:
-            self._world = world
-
     # -- dispatch ----------------------------------------------------------
 
     def dispatch(self, extension_point: str, payload: Mapping[str, Any]) -> dict[str, Any]:
@@ -411,28 +382,20 @@ class Host:
         if not EXTENSION_POINT_RE.match(extension_point):
             raise ValueError(f"bad extension point {extension_point!r}")
         token = object()
-        # under the lock _publish_world swaps under: once a version is out of
-        # the published world no holder can join it, so a retire sees them all
-        with self._gate_lock:
-            world = self._world
-            # deduped by name, since BoundUnit is an unhashable dataclass
-            routed = {r.unit for r in world.snapshot.handlers_for(extension_point)}
-            held = [world.bound[name] for name in routed if name in world.bound]
-            for bound in held:
-                bound.running.add(token)
+        snapshot = self._registry.hold(extension_point, token)
         lines: list[str] = []
         try:
             # run_chain validates and copies the payload as it crosses in
             envelope = Envelope(
-                new_envelope_id(), extension_point, dict(payload), epoch=world.snapshot.epoch
+                new_envelope_id(), extension_point, dict(payload), epoch=snapshot.epoch
             )
             try:
                 result = run_chain(
-                    world.snapshot,
+                    snapshot,
                     extension_point,
                     envelope,
                     self.config.error_policy,
-                    units=world.bound,
+                    units=snapshot.bound,
                     timeout_ms=self.config.unit_timeout_ms,
                     diag=lines.append,
                 )
@@ -442,10 +405,10 @@ class Host:
             self._record_stats(result.trace)
             return result.payload
         finally:
-            for bound in held:
+            for bound in snapshot.bound_for(extension_point):
                 bound.running.discard(token)
             self.diag(*lines)
-            # On every dispatch, not only replaced worlds: one ending during a
+            # On every dispatch, not only replaced snapshots: one ending during a
             # tick waits here, so on one CPU the tick runs without a client
             # taking the GIL (skipping it made deploy_churn tick p50s 80-93% slower).
             with self._writer_lock:

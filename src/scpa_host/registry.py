@@ -120,21 +120,45 @@ class HandlerRef:
     reentrant: bool
 
 
+@dataclass
+class BoundUnit:
+    """One loaded unit@version until it retires: its instance, its
+    reentrancy gate (None when reentrant) and its holders.
+
+    ``running`` holds one token per holder: each started call not yet
+    returned (its ``done`` Event), abandoned ones included, and in a host
+    each dispatch whose snapshot routes to it.  A draining version retires
+    once it is empty.  ``manifest`` is set on the ones a Registry loads.
+    """
+
+    unit: PipelineUnit
+    gate: threading.Lock | None = None
+    running: set[object] = field(default_factory=set, compare=False, repr=False)
+    manifest: Manifest | None = field(default=None, compare=False, repr=False)
+
+
 @dataclass(frozen=True)
 class RegistrySnapshot:
-    """Immutable per-epoch view: extension point -> ordered active handlers."""
+    """Immutable per-epoch view: extension point -> ordered active handlers,
+    and unit name -> the BoundUnit those handlers run on.  The registry
+    publishes each epoch as one such value, swapped in by one reference."""
 
     epoch: int
     routes: Mapping[str, tuple[HandlerRef, ...]]
+    bound: Mapping[str, BoundUnit]
 
     def handlers_for(self, extension_point: str) -> tuple[HandlerRef, ...]:
         return self.routes.get(extension_point, ())
+
+    def bound_for(self, extension_point: str) -> list[BoundUnit]:
+        """The distinct units the routes of ``extension_point`` run on."""
+        return [self.bound[name] for name in {h.unit for h in self.handlers_for(extension_point)}]
 
     def units(self) -> set[tuple[str, str]]:
         return {(h.unit, h.version) for refs in self.routes.values() for h in refs}
 
 
-EMPTY_SNAPSHOT = RegistrySnapshot(epoch=0, routes=MappingProxyType({}))
+EMPTY_SNAPSHOT = RegistrySnapshot(epoch=0, routes=MappingProxyType({}), bound=MappingProxyType({}))
 
 
 def order_units(handlers: Iterable[HandlerRef]) -> list[HandlerRef]:
@@ -491,19 +515,6 @@ class _VersionRecord:
     reason: str = ""
 
 
-@dataclass
-class _ActiveEntry:
-    """One loaded unit@version until it retires.  ``running`` holds one token
-    per holder: each dispatch whose snapshot routes to it and each started
-    call, abandoned ones included.  A draining version retires once it is empty."""
-
-    version: str
-    manifest: Manifest
-    unit: PipelineUnit
-    gate: threading.Lock | None
-    running: set[object] = field(default_factory=set, compare=False, repr=False)
-
-
 UnitFactory = Callable[[Discovery, HostContext], PipelineUnit]
 ContextFactory = Callable[[str], HostContext]
 TransitionListener = Callable[[str, str, UnitState | None, UnitState], None]
@@ -516,8 +527,11 @@ def _default_context_factory(name: str) -> HostContext:
 class Registry:
     """Single-writer unit registry producing immutable epoch snapshots.
 
-    All mutations must come from one coordinator sequence; readers may grab
-    ``snapshot`` at any time without blocking the writer.
+    All mutations must come from one coordinator sequence.  The current
+    snapshot is the only record of what is active: its ``bound`` map holds
+    the one BoundUnit of each active unit@version.  Readers may grab
+    ``snapshot`` at any time; ``hold`` also registers a holder, under the
+    lock each new snapshot is swapped in under.
     """
 
     def __init__(
@@ -535,9 +549,9 @@ class Registry:
         self._diag = diag
         self._listener = transition_listener
         self._records: dict[tuple[str, str], _VersionRecord] = {}
-        self._active: dict[str, _ActiveEntry] = {}
-        self._draining: dict[tuple[str, str], _ActiveEntry] = {}
+        self._draining: dict[tuple[str, str], BoundUnit] = {}
         self._snapshot = EMPTY_SNAPSHOT
+        self._publish_lock = threading.Lock()
 
     @property
     def snapshot(self) -> RegistrySnapshot:
@@ -547,19 +561,29 @@ class Registry:
     def pin_store(self) -> PinStore:
         return self._pin_store
 
+    def hold(self, extension_point: str, token: object) -> RegistrySnapshot:
+        """The current snapshot, with ``token`` added to the holders of each
+        unit it routes ``extension_point`` to.  Taken under the lock that
+        ``_commit`` swaps the snapshot under: once a version is out of the
+        published snapshot no holder can join it, so a retire sees them all."""
+        with self._publish_lock:
+            snapshot = self._snapshot
+            for bound in snapshot.bound_for(extension_point):
+                bound.running.add(token)
+        return snapshot
+
     def active_version(self, name: str) -> str | None:
-        entry = self._active.get(name)
-        return entry.version if entry else None
+        entry = self._snapshot.bound.get(name)
+        return entry.manifest.version if entry else None
 
-    def active_entry(self, name: str) -> _ActiveEntry | None:
-        return self._active.get(name)
+    def active_entry(self, name: str) -> BoundUnit | None:
+        return self._snapshot.bound.get(name)
 
-    def active_entries(self) -> dict[str, _ActiveEntry]:
-        return dict(self._active)
+    def active_entries(self) -> dict[str, BoundUnit]:
+        return dict(self._snapshot.bound)
 
     def active_names(self) -> KeysView[str]:
-        """A live view of the active unit names: copy it before a mutation."""
-        return self._active.keys()
+        return self._snapshot.bound.keys()
 
     def record_state(self, name: str, version: str) -> UnitState | None:
         record = self._records.get((name, version))
@@ -608,11 +632,14 @@ class Registry:
             self._new_record(discovery)
 
     def _commit(
-        self, name: str, old: Manifest | None, new: Manifest | None, reason: str
+        self, name: str, old: Manifest | None, entry: BoundUnit | None, reason: str
     ) -> RegistrySnapshot:
         """Publish the next epoch with ``name``'s routes moved from manifest
-        ``old`` to ``new`` (either may be None).  Only the extension points
-        they bind are rebuilt; every other route is carried over as is."""
+        ``old`` to ``entry``'s, and ``name`` bound to ``entry`` (either may be
+        None).  Only the extension points they bind are rebuilt; every other
+        route and BoundUnit is carried over as is.  The EPOCH line is written
+        once the epoch is live."""
+        new = entry.manifest if entry is not None else None
         added: dict[str, list[HandlerRef]] = {}
         if new is not None:
             for b in new.bindings:
@@ -627,8 +654,16 @@ class Registry:
                 routes[ep] = tuple(order_units(refs))
             else:
                 routes.pop(ep, None)
-        snapshot = RegistrySnapshot(self._snapshot.epoch + 1, MappingProxyType(routes))
-        self._snapshot = snapshot
+        bound = dict(self._snapshot.bound)
+        if entry is None:
+            bound.pop(name, None)
+        else:
+            bound[name] = entry
+        snapshot = RegistrySnapshot(
+            self._snapshot.epoch + 1, MappingProxyType(routes), MappingProxyType(bound)
+        )
+        with self._publish_lock:
+            self._snapshot = snapshot
         if self._diag is not None:
             self._diag(f"EPOCH {snapshot.epoch} {reason}")
         return snapshot
@@ -655,8 +690,8 @@ class Registry:
                 f"version {discovery.version} is {record.state.value}, expected validated",
             )
 
-        context = self._context_factory(discovery.name)
         try:
+            context = self._context_factory(discovery.name)
             unit = self._unit_factory(discovery, context)
             report = unit.load(context)
         except ChecksumMismatch as exc:
@@ -669,29 +704,29 @@ class Registry:
             self._transition(discovery.name, discovery.version, UnitState.FAILED, report.message)
             raise LoadFailed(discovery.name, report.message or "load reported failure")
 
-        previous = self._active.get(discovery.name)
+        previous = self._snapshot.bound.get(discovery.name)
+        old = previous.manifest if previous is not None else None
         if previous is not None:
-            self._transition(discovery.name, previous.version, UnitState.DRAINING, "replaced")
-            self._draining[(discovery.name, previous.version)] = previous
+            self._transition(discovery.name, old.version, UnitState.DRAINING, "replaced")
+            self._draining[(discovery.name, old.version)] = previous
         self._transition(discovery.name, discovery.version, UnitState.ACTIVE)
-        self._active[discovery.name] = _ActiveEntry(
-            version=discovery.version,
-            manifest=discovery.manifest,
+        entry = BoundUnit(
             unit=unit,
             gate=None if discovery.manifest.reentrant else threading.Lock(),
+            manifest=discovery.manifest,
         )
-        old = previous.manifest if previous is not None else None
         reason = reason or f"activate {discovery.name}@{discovery.version}"
-        return self._commit(discovery.name, old, discovery.manifest, reason)
+        return self._commit(discovery.name, old, entry, reason)
 
     def deactivate(self, name: str, *, reason: str | None = None) -> RegistrySnapshot:
         """Remove the unit from the routes; its version drains until retired."""
-        entry = self._active.pop(name, None)
+        entry = self._snapshot.bound.get(name)
         if entry is None:
             raise NotActive(name)
-        self._transition(name, entry.version, UnitState.DRAINING, "deactivated")
-        self._draining[(name, entry.version)] = entry
-        reason = reason or f"deactivate {name}@{entry.version}"
+        version = entry.manifest.version
+        self._transition(name, version, UnitState.DRAINING, "deactivated")
+        self._draining[(name, version)] = entry
+        reason = reason or f"deactivate {name}@{version}"
         return self._commit(name, entry.manifest, None, reason)
 
     def rollback(self, name: str, candidates: Iterable[Discovery]) -> RegistrySnapshot:
@@ -700,16 +735,14 @@ class Registry:
         The swap is a single new epoch: the current version drains, the
         pinned one takes its place, and the pin persists for future scans.
         """
-        entry = self._active.get(name)
-        if entry is None:
+        current = self.active_version(name)
+        if current is None:
             raise NotActive(name)
         own = [d for d in candidates if d.name == name]
-        version = previous_version(name, entry.version, [d.version for d in own])
+        version = previous_version(name, current, [d.version for d in own])
         target = next(d for d in own if d.version == version)
         self._pin_store.set(name, target.version)
-        return self.activate(
-            target, reason=f"rollback {name} {entry.version}->{target.version}"
-        )
+        return self.activate(target, reason=f"rollback {name} {current}->{target.version}")
 
     def retire_if_drained(self, name: str, version: str) -> bool:
         """Finish draining a version nothing holds any more: transition to

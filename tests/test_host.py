@@ -161,6 +161,25 @@ class TestStart:
             if gc_was_enabled:
                 gc.enable()
 
+    def test_a_unit_whose_context_cannot_be_built_fails_alone(self, tmp_path):
+        host = make_host(tmp_path)
+        drop = host.config.drop_dir
+        write_bundle(drop, "unit-a", "1.0.0", APPEND.format(stamp="a"), [("business", EP, "handle")])
+        write_bundle(drop, "unit-b", "1.0.0", APPEND.format(stamp="b"), [("business", EP, "handle")])
+        (drop / ".scpa" / "data").mkdir(parents=True)
+        (drop / ".scpa" / "data" / "unit-a").write_text("a file where the data dir goes")
+        host.start()
+        try:
+            assert host.registry.record_state("unit-a", "1.0.0") is UnitState.FAILED
+            assert host.registry.active_version("unit-b") == "1.0.0"
+            assert host.dispatch(EP, {"log": ""}) == {"log": "b"}
+            assert not host.hot_swap_cycle().changed
+            rejects = [line for line in host.config.diagnostics.getvalue().splitlines() if line.startswith("REJECT")]
+            assert len(rejects) == 1
+            assert rejects[0].split()[2:4] == ["load-failed", "FileExistsError:"]
+        finally:
+            host.stop()
+
     def test_missing_drop_dir(self, tmp_path):
         host = Host(HostConfig(drop_dir=tmp_path / "missing", diagnostics=io.StringIO()))
         with pytest.raises(DropDirUnreadable):
@@ -391,6 +410,54 @@ class TestHotSwap:
             assert report.activated == (("unit-a", "1.0.0"),)
             assert host.dispatch(EP, {"log": ""}) == {"log": "a"}
         finally:
+            host.stop()
+
+    def test_a_dispatch_begun_once_an_epoch_is_logged_runs_in_that_epoch(self, tmp_path):
+        marking = (
+            "from pathlib import Path\n"
+            "def handle(payload, context):\n"
+            "    with (Path(context.data_dir) / 'marks.txt').open('a') as fh:\n"
+            "        fh.write('{version}\\n')\n"
+            "    return dict(payload, by={version!r})\n"
+        )
+        results, workers = [], []
+
+        class DispatchOnEpoch(io.StringIO):
+            """Starts a dispatch as soon as epoch 2 is logged."""
+
+            def write(self, text):
+                written = super().write(text)
+                if "EPOCH 2 activate unit-b@1.0.1" in text:
+                    worker = threading.Thread(target=lambda: results.append(host.dispatch(EP, {})))
+                    workers.append(worker)
+                    worker.start()
+                    # not joined: its TRACE write waits for the lock this write holds
+                    deadline = time.monotonic() + 5
+                    while not (marks.exists() and marks.read_text()) and time.monotonic() < deadline:
+                        time.sleep(0.01)
+                return written
+
+        stream = DispatchOnEpoch()
+        host = make_host(tmp_path, diagnostics=stream)
+        drop = host.config.drop_dir
+        marks = drop / ".scpa" / "data" / "unit-b" / "marks.txt"
+        bindings = [("business", EP, "handle")]
+        write_bundle(drop, "unit-b", "1.0.0", marking.format(version="1.0.0"), bindings)
+        host.start()
+        try:
+            write_bundle(drop, "unit-b", "1.0.1", marking.format(version="1.0.1"), bindings)
+            report = host.hot_swap_cycle()
+            assert (report.end_epoch, report.activated) == (2, (("unit-b", "1.0.1"),))
+            assert len(workers) == 1
+            workers[0].join(timeout=5)
+            assert not workers[0].is_alive()
+            assert marks.read_text().splitlines() == ["1.0.1"]
+            assert results == [{"by": "1.0.1"}]
+            traces = [line.split() for line in stream.getvalue().splitlines() if line.startswith("TRACE")]
+            assert [trace[2:4] for trace in traces] == [["2", "unit-b@1.0.1"]]
+        finally:
+            for worker in workers:
+                worker.join(timeout=5)
             host.stop()
 
     def test_no_disk_change_no_new_epoch(self, tmp_path):
@@ -779,7 +846,7 @@ class TestDraining:
             assert [host.registry.record_state("unit-b", v) for v in versions] == [
                 UnitState.RETIRED
             ] * 11 + [UnitState.ACTIVE]
-            assert all(bound.running == set() for bound in host._world.bound.values())
+            assert all(bound.running == set() for bound in host.registry.snapshot.bound.values())
             marks = [line.split() for line in (drop / ".scpa" / "data" / "unit-b" / "marks.txt").read_text().splitlines()]
             for version in versions[:-1]:
                 events = [event for event, v in marks if v == version]
@@ -812,7 +879,7 @@ class TestIncrementalPublish:
         try:
             touched_total = 0
             for _ in range(40):
-                before = dict(host._world.bound)
+                before = dict(host.registry.snapshot.bound)
                 name = rng.choice(names)
                 versions = sorted(p.name for p in (drop / name).iterdir() if p.is_dir())
                 op = rng.choice(["deploy", "remove", "disable", "enable", "pin", "unpin"])
@@ -830,11 +897,11 @@ class TestIncrementalPublish:
                     (drop / name / "pin").unlink(missing_ok=True)
                 report = host.hot_swap_cycle()
 
-                world = host._world
+                world = host.registry.snapshot
                 entries = host.registry.active_entries()
                 touched = {n for n, _ in report.activated + report.deactivated}
                 touched_total += len(touched)
-                assert world.snapshot is host.registry.snapshot
+                assert world.epoch == report.end_epoch
                 assert world.bound.keys() == entries.keys()
                 for n, bound in world.bound.items():
                     assert bound.unit is entries[n].unit
@@ -848,7 +915,6 @@ class TestIncrementalPublish:
     def test_starting_over_n_bundles_builds_n_handler_refs_and_n_bound_units(
         self, tmp_path, monkeypatch
     ):
-        import scpa_host.host as host_mod
         import scpa_host.registry as registry_mod
 
         made = {"HandlerRef": 0, "BoundUnit": 0}
@@ -858,13 +924,13 @@ class TestIncrementalPublish:
                 made["HandlerRef"] += 1
                 super().__init__(*args, **kwargs)
 
-        class CountingBound(host_mod.BoundUnit):
+        class CountingBound(registry_mod.BoundUnit):
             def __init__(self, *args, **kwargs):
                 made["BoundUnit"] += 1
                 super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(registry_mod, "HandlerRef", CountingRef)
-        monkeypatch.setattr(host_mod, "BoundUnit", CountingBound)
+        monkeypatch.setattr(registry_mod, "BoundUnit", CountingBound)
         host = make_host(tmp_path)
         for i in range(100):
             write_bundle(

@@ -870,3 +870,57 @@ class TestIncrementalCommit:
         for snapshot, routes in history:  # no later commit touched an earlier snapshot
             assert dict(snapshot.routes) == routes
         assert all(outcomes.values()), outcomes
+
+
+class TestHold:
+    V1 = reference_unit("u1", "1.0.0", {EP: Behavior(("set", "k", 1))})
+    V2 = reference_unit("u1", "1.1.0", {EP: Behavior(("set", "k", 2))})
+
+    def test_a_token_held_before_a_swap_keeps_the_old_version_draining(self):
+        reg = MemoryRegistry()
+        reg.add(self.V1)
+        token = object()
+        held = reg.registry.hold(EP, token)
+        reg.add(self.V2)
+        assert reg.registry.record_state("u1", "1.0.0") is UnitState.DRAINING
+        assert reg.registry.retire_if_drained("u1", "1.0.0") is False
+        held.bound["u1"].running.discard(token)
+        assert reg.registry.retire_if_drained("u1", "1.0.0") is True
+        assert reg.registry.record_state("u1", "1.0.0") is UnitState.RETIRED
+
+    def test_a_hold_after_a_swap_holds_only_the_new_version(self):
+        reg = MemoryRegistry()
+        reg.add(self.V1)
+        old = reg.snapshot.bound["u1"]
+        reg.add(self.V2)
+        token = object()
+        held = reg.registry.hold(EP, token)
+        assert held is reg.snapshot
+        assert held.bound["u1"].manifest.version == "1.1.0"
+        assert held.bound["u1"].running == {token}
+        assert old.running == set()
+        assert reg.registry.hold("business.other.run", object()).bound["u1"].running == {token}
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_bound_units_are_the_routed_units_after_every_step(self, seed):
+        rng = random.Random(seed)
+        names = ["aa", "bb", "cc", "dd"]
+        versions = ["1.0.0", "1.1.0"]
+        registry = Registry(lambda discovery, context: _IdleUnit())
+        for _ in range(60):
+            name = rng.choice(names)
+            try:
+                if rng.random() < 0.6:
+                    version = rng.choice(versions)
+                    if registry.record_state(name, version) not in (None, UnitState.VALIDATED, UnitState.RETIRED):
+                        continue
+                    registry.activate(Discovery(name, version, _random_manifest(rng, name, version)))
+                else:
+                    registry.deactivate(name)
+            except NotActive:
+                continue
+            registry.retire_drained()
+            snapshot = registry.snapshot
+            assert isinstance(snapshot.bound, MappingProxyType)
+            assert {(n, b.manifest.version) for n, b in snapshot.bound.items()} == snapshot.units()
+            assert snapshot.bound.keys() == {h.unit for refs in snapshot.routes.values() for h in refs}

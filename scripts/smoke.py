@@ -1,9 +1,9 @@
 """Smoke check of the host on the running interpreter, standard library only.
 
 Starts a host over a temporary drop dir, dispatches through two units,
-deploys a second version, pins the first one back and ticks, then lets a
-unit call run past its timeout and replaces its version while the call
-still runs, checking every result:
+deploys a second version, rolls it back with ``scpa-host rollback`` and
+ticks, then lets a unit call run past its timeout and replaces its version
+while the call still runs, checking every result:
 
     PYTHONPATH=src python scripts/smoke.py
 
@@ -21,8 +21,8 @@ import time
 from pathlib import Path
 
 from scpa_host import ErrorPolicy, Host, HostConfig, Layer, LayerBinding
+from scpa_host.cli import main as cli_main
 from scpa_host.demo.bundles import build_bundle
-from scpa_host.registry import write_pin
 
 EP = "business.smoke.run"
 SOURCE = "def handle(payload, context):\n    return dict(payload, by={version!r})\n"
@@ -115,9 +115,9 @@ def main() -> int:
             deploy(work, "1.1.0")
             expect("deploy tick", host.hot_swap_cycle().activated, (("smoke", "1.1.0"),))
             expect("after deploy", host.dispatch(EP, {})["by"], "1.1.0")
-            write_pin(work / "drop" / "smoke", "1.0.0")
-            expect("pin tick", host.hot_swap_cycle().activated, (("smoke", "1.0.0"),))
-            expect("after pin", host.dispatch(EP, {})["by"], "1.0.0")
+            expect("rollback exit", cli_main(["rollback", "smoke", "--drop-dir", str(work / "drop")]), 0)
+            expect("rollback tick", host.hot_swap_cycle().activated, (("smoke", "1.0.0"),))
+            expect("after rollback", host.dispatch(EP, {})["by"], "1.0.0")
             expect("idle tick", host.hot_swap_cycle().changed, False)
         finally:
             host.stop()

@@ -37,7 +37,6 @@ from .registry import (
     Registry,
     RegistrySnapshot,
     UnitState,
-    VersionPin,
     resolve_active,
     scan,
 )

@@ -45,7 +45,6 @@ from .impact import (
 from .registry import (
     DISABLED_FILENAME,
     RegistryError,
-    VersionPin,
     previous_version,
     resolve_active,
     scan,
@@ -158,7 +157,7 @@ def cmd_list(args) -> int:
         versions = sorted(by_name[name], key=parse_version, reverse=True)
         pin = result.pins.get(name)
         try:
-            resolved = resolve_active(name, versions, VersionPin(name, pin) if pin else None)
+            resolved = resolve_active(name, versions, pin)
         except RegistryError:
             resolved = None
         for version in versions:
@@ -271,7 +270,7 @@ def cmd_rollback(args) -> int:
     if not versions:
         raise RegistryError(f"unknown unit: {args.name}")
     pin = result.pins.get(args.name)
-    current = resolve_active(args.name, versions, VersionPin(args.name, pin) if pin else None)
+    current = resolve_active(args.name, versions, pin)
     target = previous_version(args.name, current, versions)
     write_pin(Path(args.drop_dir) / args.name, target)
     print(f"rolled back {args.name}: {current} -> {target} (pinned)")

@@ -28,7 +28,6 @@ from .loading import CodeStore, payload_unit_factory
 from .registry import (
     Discovery,
     DropDirUnreadable,
-    FilePinStore,
     LoadFailed,
     PayloadChanged,
     PinMissing,
@@ -36,7 +35,6 @@ from .registry import (
     Reject,
     ScanCache,
     UnitState,
-    VersionPin,
     resolve_active,
     scan,
 )
@@ -178,9 +176,7 @@ def _unit_context(drop_dir: Path, unit_name: str) -> HostContext:
 
 def _resolve(name: str, discoveries: list[Discovery], pin: str | None) -> Discovery | PinMissing:
     try:
-        version = resolve_active(
-            name, [d.version for d in discoveries], VersionPin(name, pin) if pin else None
-        )
+        version = resolve_active(name, [d.version for d in discoveries], pin)
     except PinMissing as exc:
         return exc
     return next(d for d in discoveries if d.version == version)
@@ -207,7 +203,6 @@ class Host:
         self._registry = Registry(
             payload_unit_factory,
             context_factory=functools.partial(_unit_context, config.drop_dir),
-            pin_store=FilePinStore(config.drop_dir),
             diag=self.diag,
         )
         self._scan_cache: ScanCache = {}

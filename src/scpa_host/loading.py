@@ -46,19 +46,15 @@ def compile_payload(path: Path, source: bytes) -> CodeType:
     return compile(source, str(path), "exec", dont_inherit=True)
 
 
-def load_payload_module(
-    path: Path, unit_name: str, version: str, code: CodeType | None = None
-) -> ModuleType:
-    """Execute payload code as a private module, fresh per activation.
+def load_payload_module(path: Path, unit_name: str, version: str, code: CodeType) -> ModuleType:
+    """Execute payload ``code`` as a private module, fresh per activation.
 
-    ``code`` is the payload as compiled from the bytes the caller read and
-    verified; without it the file at ``path`` is read and compiled.  The
-    module gets a unique synthetic name and is never registered in
-    sys.modules, so two units (or two versions of one unit) defining the
-    same symbols cannot collide.
+    ``code`` must be compiled from the bytes the caller read and verified
+    against the manifest checksum; ``path`` only names the module's file,
+    which is never read here.  The module gets a unique synthetic name and
+    is never registered in sys.modules, so two units (or two versions of
+    one unit) defining the same symbols cannot collide.
     """
-    if code is None:
-        code = compile_payload(path, Path(path).read_bytes())
     with _load_lock:
         serial = next(_module_serial)
     module = ModuleType(f"_scpa_payload_{unit_name.replace('-', '_')}_{serial}")

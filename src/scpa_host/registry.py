@@ -2,8 +2,9 @@
 resolution, and immutable epoch snapshots supporting hot-swap and rollback.
 
 Drop-folder layout: ``<drop>/<name>/<version>/manifest.scpa`` plus payload
-files.  A ``pin`` file in the unit directory pins the active version; an
-empty ``disabled`` marker switches the unit off without deleting it.
+files.  A ``pin`` file in the unit directory pins the active version (it
+is how a unit is rolled back); an empty ``disabled`` marker switches the
+unit off without deleting it.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Callable, Iterable, KeysView, Mapping, Protocol
+from typing import TYPE_CHECKING, Callable, Iterable, KeysView, Mapping
 
 from .contract import (
     HOST_VERSION,
@@ -168,12 +169,6 @@ def order_units(handlers: Iterable[HandlerRef]) -> list[HandlerRef]:
 
 
 @dataclass(frozen=True)
-class VersionPin:
-    unit: str
-    version: str | None = None
-
-
-@dataclass(frozen=True)
 class Discovery:
     """A valid bundle found on disk (or constructed in memory for tests).
 
@@ -203,11 +198,12 @@ class ScanResult:
 
 
 def read_pin(unit_dir: Path) -> str | None:
-    """Read the one-line ``pin: <version>`` file; None when absent or malformed."""
+    """Read the one-line ``pin: <version>`` file; None when it is absent,
+    unreadable, not UTF-8 text or malformed: such a pin is ignored."""
     pin_path = unit_dir / PIN_FILENAME
     try:
         text = pin_path.read_text(encoding="utf-8")
-    except OSError:
+    except (OSError, UnicodeDecodeError):
         return None
     line = text.strip()
     if not line.startswith("pin:"):
@@ -289,12 +285,12 @@ def _read(path: str) -> bytes:
         return fh.read()
 
 
-def _list_dir(path: str, cache: ScanCache | None, started_ns: int) -> _CachedListing:
+def _list_dir(path: str, cache: ScanCache, started_ns: int) -> _CachedListing:
     """The listing of directory ``path``, reused from ``cache`` while the
     directory keeps the stat fingerprint it had when it was listed.  Raises
     OSError when the directory cannot be listed."""
     fingerprint = _fingerprint(os.stat(path))
-    cached = cache.get(path) if cache is not None else None
+    cached = cache.get(path)
     if isinstance(cached, _CachedListing) and cached.directory == fingerprint:
         return cached
     names: list[str] = []
@@ -312,11 +308,10 @@ def _list_dir(path: str, cache: ScanCache | None, started_ns: int) -> _CachedLis
                 trusted = False
     subdirs.sort()
     listing = _CachedListing(fingerprint, tuple(subdirs), frozenset(names))
-    if cache is not None:
-        if trusted:
-            cache[path] = listing
-        else:
-            cache.pop(path, None)
+    if trusted:
+        cache[path] = listing
+    else:
+        cache.pop(path, None)
     return listing
 
 
@@ -394,15 +389,19 @@ def scan(
     Never raises on a malformed bundle: every invalid or unreadable one lands
     in rejects with a reason code.  Only an unreadable drop dir is an error.
 
-    With a ``cache`` (kept by the caller from one scan to the next), a
-    directory whose stat fingerprint is the one seen when it was last listed
-    is not listed again, and a version directory whose manifest and payload
-    have the fingerprints seen before reuses its earlier discovery or reject
-    without reading, parsing or hashing.  An unchanged tree thus costs one
-    ``stat`` per directory and two per version; a ``pin`` file is still read
-    on every scan, since rewriting it in place leaves its directory as it
-    was.  Entries of paths that are gone are dropped from the cache.
+    ``cache`` is what earlier scans learned, kept by the caller from one
+    scan to the next; without one, the scan starts from an empty cache and
+    reads everything.  A directory whose stat fingerprint is the one seen
+    when it was last listed is not listed again, and a version directory
+    whose manifest and payload have the fingerprints seen before reuses its
+    earlier discovery or reject without reading, parsing or hashing.  An
+    unchanged tree thus costs one ``stat`` per directory and two per
+    version; a ``pin`` file is still read on every scan, since rewriting it
+    in place leaves its directory as it was.  Entries of paths that are gone
+    are dropped from the cache.
     """
+    if cache is None:
+        cache = {}
     base = os.fspath(Path(drop_dir))
     started_ns = time.time_ns()
     try:
@@ -435,36 +434,34 @@ def scan(
         for version in listing.subdirs:
             path = f"{unit_path}/{version}"
             manifest_st = _stat(f"{path}/{MANIFEST_FILENAME}")
-            cached = cache.get(path) if cache is not None else None
+            cached = cache.get(path)
             if not _unchanged(cached, path, _fingerprint(manifest_st)):
                 cached = _examine(unit_name, path, version, manifest_st)
-                if cache is not None:
-                    if _trusted(cached, started_ns):
-                        cache[path] = cached
-                    else:
-                        cache.pop(path, None)
+                if _trusted(cached, started_ns):
+                    cache[path] = cached
+                else:
+                    cache.pop(path, None)
             seen.add(path)
             if isinstance(cached.outcome, Reject):
                 reject(cached.outcome)
             else:
                 result.discoveries.append(cached.outcome)
-    if cache is not None:
-        for gone in cache.keys() - seen:
-            del cache[gone]
+    for gone in cache.keys() - seen:
+        del cache[gone]
     return result
 
 
-def resolve_active(
-    name: str, versions: Iterable[str], pin: VersionPin | None = None
-) -> str:
-    """Pick the version to activate: the pin when set, else the highest."""
+def resolve_active(name: str, versions: Iterable[str], pin: str | None = None) -> str:
+    """Pick the version to activate: ``pin`` (the version a unit's ``pin``
+    file names, as ``read_pin`` returns it) when set, else the highest.
+    Raises PinMissing when the pinned version is not among ``versions``."""
     available = list(versions)
     if not available:
         raise RegistryError(f"no versions available for {name}")
-    if pin is not None and pin.version is not None:
-        if pin.version not in available:
-            raise PinMissing(name, pin.version)
-        return pin.version
+    if pin is not None:
+        if pin not in available:
+            raise PinMissing(name, pin)
+        return pin
     return max(available, key=parse_version)
 
 
@@ -476,36 +473,6 @@ def previous_version(name: str, current: str, versions: Iterable[str]) -> str:
     if not older:
         raise NoPriorVersion(name)
     return max(older, key=parse_version)
-
-
-class PinStore(Protocol):
-    def get(self, name: str) -> str | None: ...
-
-    def set(self, name: str, version: str) -> None: ...
-
-
-class MemoryPinStore:
-    def __init__(self):
-        self._pins: dict[str, str] = {}
-
-    def get(self, name: str) -> str | None:
-        return self._pins.get(name)
-
-    def set(self, name: str, version: str) -> None:
-        self._pins[name] = version
-
-
-class FilePinStore:
-    """Pins persisted as ``<drop>/<name>/pin`` files."""
-
-    def __init__(self, drop_dir: Path):
-        self._drop_dir = Path(drop_dir)
-
-    def get(self, name: str) -> str | None:
-        return read_pin(self._drop_dir / name)
-
-    def set(self, name: str, version: str) -> None:
-        write_pin(self._drop_dir / name, version)
 
 
 @dataclass
@@ -532,6 +499,9 @@ class Registry:
     the one BoundUnit of each active unit@version.  Readers may grab
     ``snapshot`` at any time; ``hold`` also registers a holder, under the
     lock each new snapshot is swapped in under.
+
+    The registry keeps no pins and has no rollback of its own: a rollback
+    is a ``pin`` file, and the caller activates the version it resolves to.
     """
 
     def __init__(
@@ -539,13 +509,11 @@ class Registry:
         unit_factory: UnitFactory,
         *,
         context_factory: ContextFactory | None = None,
-        pin_store: PinStore | None = None,
         diag: Callable[[str], None] | None = None,
         transition_listener: TransitionListener | None = None,
     ):
         self._unit_factory = unit_factory
         self._context_factory = context_factory or _default_context_factory
-        self._pin_store: PinStore = pin_store if pin_store is not None else MemoryPinStore()
         self._diag = diag
         self._listener = transition_listener
         self._records: dict[tuple[str, str], _VersionRecord] = {}
@@ -556,10 +524,6 @@ class Registry:
     @property
     def snapshot(self) -> RegistrySnapshot:
         return self._snapshot
-
-    @property
-    def pin_store(self) -> PinStore:
-        return self._pin_store
 
     def hold(self, extension_point: str, token: object) -> RegistrySnapshot:
         """The current snapshot, with ``token`` added to the holders of each
@@ -670,7 +634,7 @@ class Registry:
 
     # -- operations ------------------------------------------------------
 
-    def activate(self, discovery: Discovery, *, reason: str | None = None) -> RegistrySnapshot:
+    def activate(self, discovery: Discovery) -> RegistrySnapshot:
         """Load and activate a validated version; one new epoch.
 
         If another version of the unit is active it transitions to Draining
@@ -715,10 +679,11 @@ class Registry:
             gate=None if discovery.manifest.reentrant else threading.Lock(),
             manifest=discovery.manifest,
         )
-        reason = reason or f"activate {discovery.name}@{discovery.version}"
-        return self._commit(discovery.name, old, entry, reason)
+        return self._commit(
+            discovery.name, old, entry, f"activate {discovery.name}@{discovery.version}"
+        )
 
-    def deactivate(self, name: str, *, reason: str | None = None) -> RegistrySnapshot:
+    def deactivate(self, name: str) -> RegistrySnapshot:
         """Remove the unit from the routes; its version drains until retired."""
         entry = self._snapshot.bound.get(name)
         if entry is None:
@@ -726,23 +691,7 @@ class Registry:
         version = entry.manifest.version
         self._transition(name, version, UnitState.DRAINING, "deactivated")
         self._draining[(name, version)] = entry
-        reason = reason or f"deactivate {name}@{version}"
-        return self._commit(name, entry.manifest, None, reason)
-
-    def rollback(self, name: str, candidates: Iterable[Discovery]) -> RegistrySnapshot:
-        """Pin and activate the next-highest version below the active one.
-
-        The swap is a single new epoch: the current version drains, the
-        pinned one takes its place, and the pin persists for future scans.
-        """
-        current = self.active_version(name)
-        if current is None:
-            raise NotActive(name)
-        own = [d for d in candidates if d.name == name]
-        version = previous_version(name, current, [d.version for d in own])
-        target = next(d for d in own if d.version == version)
-        self._pin_store.set(name, target.version)
-        return self.activate(target, reason=f"rollback {name} {current}->{target.version}")
+        return self._commit(name, entry.manifest, None, f"deactivate {name}@{version}")
 
     def retire_if_drained(self, name: str, version: str) -> bool:
         """Finish draining a version nothing holds any more: transition to

@@ -61,6 +61,18 @@ class TestListCommand:
         assert ("unit-a", "1.1.0", "active") in states
         assert ("unit-a", "1.0.0", "available") in states
 
+    def test_an_undecodable_pin_is_ignored(self, tmp_path, capsys):
+        write_bundle(tmp_path, "unit-a", "1.0.0", APPEND, BINDINGS)
+        write_bundle(tmp_path, "unit-a", "1.1.0", APPEND, BINDINGS)
+        (tmp_path / "unit-a" / "pin").write_bytes(b"pin: 1.0.0\xff\n")
+        assert main(["list", "--drop-dir", str(tmp_path), "--format", "csv"]) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            "unit-a,1.1.0,active,",
+            "unit-a,1.0.0,available,",
+        ]
+        assert main(["rollback", "unit-a", "--drop-dir", str(tmp_path)]) == 0
+        assert (tmp_path / "unit-a" / "pin").read_text() == "pin: 1.0.0\n"
+
     def test_rejects_shown(self, tmp_path, capsys):
         bundle = write_bundle(tmp_path, "unit-a", "1.0.0", APPEND, BINDINGS)
         (bundle / "payload.py").write_text("tampered")

@@ -505,6 +505,25 @@ class TestHotSwap:
         finally:
             host.stop()
 
+    def test_an_undecodable_pin_is_ignored_and_the_tick_goes_on(self, tmp_path):
+        stream = io.StringIO()
+        host = make_host(tmp_path, diagnostics=stream)
+        drop = host.config.drop_dir
+        for name, version in [("unit-a", "1.0.0"), ("unit-a", "1.1.0"), ("unit-b", "1.0.0")]:
+            write_bundle(drop, name, version, APPEND.format(stamp=name[-1]), [("business", EP, "handle")])
+        host.start()
+        try:
+            (drop / "unit-a" / "pin").write_bytes(b"pin: 1.0.0\xff\n")
+            (drop / "unit-b" / "disabled").touch()
+            report = host.hot_swap_cycle()
+            assert report.deactivated == (("unit-b", "1.0.0"),)
+            assert report.activated == ()
+            assert host.registry.active_version("unit-a") == "1.1.0"
+            assert host.dispatch(EP, {"log": ""}) == {"log": "a"}
+            assert "ERROR" not in stream.getvalue()
+        finally:
+            host.stop()
+
     def test_version_upgrade_single_epoch(self, tmp_path):
         host = make_host(tmp_path)
         write_bundle(

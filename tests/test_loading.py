@@ -15,7 +15,7 @@ from scpa_host.contract import (
     UnitExecutionError,
     make_envelope,
 )
-from scpa_host.loading import PayloadError, load_payload_module, payload_unit_factory
+from scpa_host.loading import PayloadError, compile_payload, load_payload_module, payload_unit_factory
 from scpa_host.registry import Discovery, Registry, scan
 
 from _util import write_bundle
@@ -132,15 +132,16 @@ class TestIsolation:
 
     def test_modules_not_registered_in_sys_modules(self, tmp_path):
         before = set(sys.modules)
-        (tmp_path / "payload.py").write_text("x = 1\n")
-        module = load_payload_module(tmp_path / "payload.py", "unit-a", "1.0.0")
+        path = tmp_path / "payload.py"
+        module = load_payload_module(path, "unit-a", "1.0.0", compile_payload(path, b"x = 1\n"))
         assert module.x == 1
         assert set(sys.modules) == before
 
     def test_fresh_module_per_activation(self, tmp_path):
-        (tmp_path / "payload.py").write_text("counter = []\n")
-        m1 = load_payload_module(tmp_path / "payload.py", "unit-a", "1.0.0")
-        m2 = load_payload_module(tmp_path / "payload.py", "unit-a", "1.0.0")
+        path = tmp_path / "payload.py"
+        code = compile_payload(path, b"counter = []\n")
+        m1 = load_payload_module(path, "unit-a", "1.0.0", code)
+        m2 = load_payload_module(path, "unit-a", "1.0.0", code)
         m1.counter.append(1)
         assert m2.counter == []
 

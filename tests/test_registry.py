@@ -1,4 +1,4 @@
-"""Registry: scan, lifecycle state machine, snapshots, pins, rollback."""
+"""Registry: scan, lifecycle state machine, snapshots, pins, rollback targets."""
 
 import argparse
 import itertools
@@ -29,14 +29,13 @@ from scpa_host.registry import (
     DropDirUnreadable,
     HandlerRef,
     LoadFailed,
-    MemoryPinStore,
     NoPriorVersion,
     NotActive,
     PinMissing,
     Registry,
     UnitState,
     LEGAL_TRANSITIONS,
-    VersionPin,
+    previous_version,
     read_pin,
     resolve_active,
     scan,
@@ -440,11 +439,11 @@ class TestResolveActive:
         assert resolve_active("u", ["1.0.0", "1.1.0", "1.10.0"]) == "1.10.0"
 
     def test_pin_wins(self):
-        assert resolve_active("u", ["1.0.0", "1.1.0"], VersionPin("u", "1.0.0")) == "1.0.0"
+        assert resolve_active("u", ["1.0.0", "1.1.0"], "1.0.0") == "1.0.0"
 
     def test_pin_missing(self):
         with pytest.raises(PinMissing):
-            resolve_active("u", ["1.0.0"], VersionPin("u", "2.0.0"))
+            resolve_active("u", ["1.0.0"], "2.0.0")
 
     def test_pairwise_comparator_oracle(self):
         def oracle_less(a, b):
@@ -576,43 +575,32 @@ class TestActivateDeactivate:
         assert reg.registry.record_state("u1", "1.0.0") is UnitState.RETIRED
 
 
+def _rollback(registry, name, discoveries):
+    """Activate what ``scpa-host rollback`` would pin ``name`` to: the
+    next-highest of its ``discoveries`` below the active version."""
+    current = registry.active_version(name)
+    if current is None:
+        raise NotActive(name)
+    own = [d for d in discoveries if d.name == name]
+    target = previous_version(name, current, [d.version for d in own])
+    return registry.activate(next(d for d in own if d.version == target))
+
+
 class TestRollback:
-    def _registry_with_versions(self, versions):
-        units = {
-            v: reference_unit("u1", v, {EP: Behavior(("set", "k", v))}) for v in versions
-        }
-        registry = Registry(
-            lambda d, c: units[d.version], pin_store=MemoryPinStore()
-        )
-        discoveries = [
-            Discovery("u1", v, reference_manifest("u1", v, 100, [EP])) for v in versions
-        ]
-        registry.activate(discoveries[-1])
-        return registry, discoveries
+    def test_previous_version_is_the_next_highest_below_the_current_one(self):
+        assert previous_version("u1", "2.0.0", ["1.0.0", "2.0.0", "1.5.0", "3.0.0"]) == "1.5.0"
+        assert previous_version("u1", "1.5.0", ["1.5.0", "1.0.0", "2.0.0"]) == "1.0.0"
 
-    def test_rollback_activates_prior_and_pins(self):
-        registry, discoveries = self._registry_with_versions(["1.0.0", "1.1.0"])
-        before = registry.snapshot.epoch
-        snap = registry.rollback("u1", discoveries)
-        assert snap.epoch == before + 1  # single epoch covers the swap
-        assert {(h.unit, h.version) for h in snap.handlers_for(EP)} == {("u1", "1.0.0")}
-        assert registry.pin_store.get("u1") == "1.0.0"
-        assert registry.record_state("u1", "1.1.0") is UnitState.DRAINING
+    def test_previous_version_orders_numerically(self):
+        assert previous_version("u1", "1.11.0", ["1.9.0", "1.10.0", "1.11.0"]) == "1.10.0"
+        assert previous_version("u1", "2.0.0", ["1.9.0", "1.10.0"]) == "1.10.0"
 
-    def test_rollback_picks_next_highest_below(self):
-        registry, discoveries = self._registry_with_versions(["1.0.0", "1.5.0", "2.0.0"])
-        registry.rollback("u1", discoveries)
-        assert registry.active_version("u1") == "1.5.0"
-
-    def test_rollback_without_prior_version(self):
-        registry, discoveries = self._registry_with_versions(["1.0.0"])
+    def test_previous_version_without_a_lower_version(self):
+        with pytest.raises(NoPriorVersion) as info:
+            previous_version("u1", "1.0.0", ["1.0.0", "1.1.0"])
+        assert info.value.name == "u1"
         with pytest.raises(NoPriorVersion):
-            registry.rollback("u1", discoveries)
-
-    def test_rollback_not_active(self):
-        registry = Registry(lambda d, c: None)
-        with pytest.raises(NotActive):
-            registry.rollback("u1", [])
+            previous_version("u1", "1.0.0", [])
 
     def test_pin_survives_on_disk(self, tmp_path):
         write_pin(tmp_path / "u1", "1.0.0")
@@ -709,7 +697,7 @@ class TestSnapshotInvariants:
                         elif op == "deactivate":
                             registry.deactivate("u1")
                         else:
-                            registry.rollback("u1", discoveries)
+                            _rollback(registry, "u1", discoveries)
                     except (NotActive, NoPriorVersion, LoadFailed):
                         pass
                     versions_in_snapshot = [
@@ -754,7 +742,7 @@ class TestSnapshotInvariants:
                     elif op == "deactivate":
                         registry.deactivate(name)
                     elif op == "rollback":
-                        registry.rollback(name, list(discoveries.values()))
+                        _rollback(registry, name, list(discoveries.values()))
                     else:
                         registry.retire_if_drained(name, version)
                 except (NotActive, NoPriorVersion, LoadFailed):
@@ -825,7 +813,7 @@ class TestIncrementalCommit:
                 raise ChecksumMismatch(expected=ZERO_CHECKSUM, actual="1" * 64)
             return _IdleUnit()
 
-        registry = Registry(factory, pin_store=MemoryPinStore())
+        registry = Registry(factory)
         active: dict[str, Manifest] = {}  # the test's own model of what is active
         history = []
         outcomes = {"load": 0, "commit": 0, "failed-load": 0, "rollback": 0}
@@ -843,7 +831,7 @@ class TestIncrementalCommit:
                     del active[name]
                 elif op == "rollback":
                     current = parse_version(active[name].version) if name in active else None
-                    registry.rollback(name, [discoveries[(name, v)] for v in versions])
+                    _rollback(registry, name, [discoveries[(name, v)] for v in versions])
                     target = max((v for v in versions if parse_version(v) < current), key=parse_version)
                     active[name] = discoveries[(name, target)].manifest
                     outcomes["rollback"] += 1

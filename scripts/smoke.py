@@ -3,7 +3,8 @@
 Starts a host over a temporary drop dir, dispatches through two units,
 deploys a second version, rolls it back with ``scpa-host rollback`` and
 ticks, then lets a unit call run past its timeout and replaces its version
-while the call still runs, checking every result:
+while the call still runs, and has a unit raise an error with no message
+under fail-open containment, checking every result:
 
     PYTHONPATH=src python scripts/smoke.py
 
@@ -28,6 +29,10 @@ EP = "business.smoke.run"
 SOURCE = "def handle(payload, context):\n    return dict(payload, by={version!r})\n"
 SECOND = "def handle(payload, context):\n    return dict(payload, second=True)\n"
 SLEEPER = "import time\ndef handle(payload, context):\n    time.sleep(0.3)\n    return payload\n"
+RAISER = (
+    "from scpa_host.contract import UnitExecutionError\n"
+    "def handle(payload, context):\n    raise UnitExecutionError()\n"
+)
 
 
 def deploy(work: Path, version: str, name: str = "smoke", text: str = SOURCE, priority: int = 10) -> None:
@@ -92,6 +97,35 @@ def check_timeout() -> None:
             host.stop()
 
 
+def check_containment() -> None:
+    """Under fail-open, a unit that raises UnitExecutionError() with no
+    message is an ERROR record, and the next unit's output still comes back."""
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        (work / "drop").mkdir()
+        deploy(work, "1.0.0", name="raiser", text=RAISER, priority=10)
+        deploy(work, "1.0.0", name="second", text=SECOND, priority=20)
+        stream = io.StringIO()
+        config = HostConfig(
+            drop_dir=work / "drop",
+            scan_interval_ms=60_000,
+            error_policy=ErrorPolicy.FAIL_OPEN,
+            diagnostics=stream,
+        )
+        host = Host(config)
+        host.start()
+        try:
+            start = len(stream.getvalue())
+            expect("contained dispatch", host.dispatch(EP, {"n": 3}), {"n": 3, "second": True})
+            expect(
+                "contained dispatch traces",
+                [(line.split()[3], line.split()[5]) for line in traces(stream, start)],
+                [("raiser@1.0.0", "error"), ("second@1.0.0", "ok")],
+            )
+        finally:
+            host.stop()
+
+
 def main() -> int:
     unraisable = []
     sys.unraisablehook = unraisable.append
@@ -122,6 +156,7 @@ def main() -> int:
         finally:
             host.stop()
     check_timeout()
+    check_containment()
     gc.collect()
     expect("warnings raised in finalizers", [str(u.exc_value) for u in unraisable], [])
     print(f"smoke ok on Python {sys.version.split()[0]}")

@@ -8,7 +8,6 @@ import copy  # noqa: F401  unused here; the benchmark's tracer rebinds chain.cop
 import threading
 import time
 from _thread import start_new_thread
-from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Mapping, Sequence
 
@@ -100,16 +99,13 @@ def apply_directive(
     raise TypeError(f"not a chain directive: {directive!r}")
 
 
-@dataclass
-class _CallResult:
-    ok: bool
-    envelope: Envelope | None = None
-    directive: ChainDirective | None = None
-    error: str | None = None
-
-
-def _call_unit(bound: BoundUnit, envelope: Envelope, timeout_s: float) -> _CallResult:
+def _call_unit(
+    bound: BoundUnit, envelope: Envelope, timeout_s: float
+) -> tuple[Envelope, ChainDirective] | str:
     """Run execute+next in a worker thread so a stuck unit can be abandoned.
+
+    Returns the unit's envelope and directive, or the error text when the
+    unit failed or timed out; the text is never empty.
 
     Non-reentrant units are serialized through their gate; the gate is
     acquired inside the worker with the same budget so a stuck holder turns
@@ -119,13 +115,14 @@ def _call_unit(bound: BoundUnit, envelope: Envelope, timeout_s: float) -> _CallR
     ``body`` contains every unit failure, so ``threading.Thread``'s start-up
     handshake and bookkeeping would buy nothing here.
     """
-    box: dict[str, object] = {}
+    box: dict[str, tuple[Envelope, ChainDirective] | str] = {}
     done = threading.Event()
+    timed_out = f"timed out after {int(timeout_s * 1000)} ms"
 
     def body() -> None:
         gate = bound.gate
         if gate is not None and not gate.acquire(timeout=timeout_s):
-            box["gate_timeout"] = True
+            box["result"] = timed_out
             bound.running.discard(done)
             done.set()
             return
@@ -141,9 +138,9 @@ def _call_unit(bound: BoundUnit, envelope: Envelope, timeout_s: float) -> _CallR
             box["result"] = (new_env, directive)
         except (Exception, SystemExit) as exc:  # any unit failure, sys.exit() too, is contained
             if isinstance(exc, UnitExecutionError):
-                box["error"] = str(exc)
+                box["result"] = str(exc) or type(exc).__name__
             else:
-                box["error"] = f"{type(exc).__name__}: {exc}"
+                box["result"] = f"{type(exc).__name__}: {exc}"
         finally:
             if gate is not None:
                 gate.release()
@@ -156,37 +153,21 @@ def _call_unit(bound: BoundUnit, envelope: Envelope, timeout_s: float) -> _CallR
     except BaseException:
         bound.running.discard(done)
         raise
-    finished = done.wait(timeout_s)
-    if not finished or "gate_timeout" in box:
-        return _CallResult(ok=False, error=f"timed out after {int(timeout_s * 1000)} ms")
-    if "result" not in box:
-        return _CallResult(ok=False, error=str(box.get("error", "unit call ended without a result")))
-    new_env, directive = box["result"]  # type: ignore[misc]
-    return _CallResult(ok=True, envelope=new_env, directive=directive)
+    if not done.wait(timeout_s):
+        return timed_out
+    return box.get("result", "unit call ended without a result")
 
 
 def _cross(env: Envelope, source: Envelope, twin: bool) -> tuple[Envelope, Envelope]:
-    """Walk the payload and annotations crossing in from ``source`` once
-    each, into the host's envelope ``env`` and a view for the next unit.
-    With ``twin`` the view is a second copy made in the same walk; without
-    it the view is the host's envelope itself, handed over."""
+    """Walk the payload crossing in from ``source`` once, into the host's
+    envelope ``env`` and a view for the next unit.  With ``twin`` the view
+    is a second copy made in the same walk; without it the view is the
+    host's envelope itself, handed over."""
     if twin:
         payload, view_payload = copy_value_map(source.payload, twin=True)
-        annotations, view_annotations = copy_value_map(source.annotations, "annotations", twin=True)
-        return (
-            _with_maps(env, payload, annotations),
-            _with_maps(env, view_payload, view_annotations),
-        )
-    env = _with_maps(
-        env, copy_value_map(source.payload), copy_value_map(source.annotations, "annotations")
-    )
+        return env.with_payload(payload), env.with_payload(view_payload)
+    env = env.with_payload(copy_value_map(source.payload))
     return env, env
-
-
-def _with_maps(env: Envelope, payload: dict, annotations: dict) -> Envelope:
-    """``env`` with new maps, built by the constructor: ``dataclasses.replace``
-    inspects the fields on every call, and this runs at every crossing."""
-    return Envelope(env.id, env.extension_point, payload, annotations, env.epoch, env.trace)
 
 
 def run_chain(
@@ -206,21 +187,19 @@ def run_chain(
     advances, Stop returns the current envelope, Divert jumps strictly
     forward.  An erroring or timed-out unit leaves the envelope unchanged;
     under FAIL_OPEN the chain continues past it, under FAIL_CLOSED the run
-    raises ChainError attributed to that unit.
+    raises ChainError attributed to that unit.  ``units`` maps each unit
+    the snapshot routes to the BoundUnit it runs on.
 
-    The envelope's payload and annotations, and each unit's output, are
-    validated and copied in one walk as they cross into the chain, so no
-    unit can reach the host's envelope or another unit's view.  Under
+    The envelope's payload, and each unit's output payload, is validated
+    and copied in one walk as it crosses into the chain, so no unit can
+    reach the host's envelope or another unit's view.  Under
     FAIL_OPEN the walk also makes the next unit's view; under FAIL_CLOSED
     the next unit gets the host's copy itself, because a failure ends the
     chain and the host never reads that copy again.
     """
     order = snapshot.handlers_for(extension_point)  # sorted by the registry's commit
     fail_open = policy is ErrorPolicy.FAIL_OPEN
-    env = Envelope(
-        envelope.id, extension_point, envelope.payload, envelope.annotations, snapshot.epoch,
-        envelope.trace,
-    )
+    env = Envelope(envelope.id, extension_point, envelope.payload, snapshot.epoch, envelope.trace)
     env, view = _cross(env, env, fail_open and bool(order))
     timeout_s = timeout_ms / 1000.0
     records: list[ExecutionRecord] = []
@@ -237,31 +216,22 @@ def run_chain(
     position: int | None = 0
     while position is not None and position < len(order):
         ref = order[position]
-        bound = units.get(ref.unit)
         started = time.perf_counter()
-        if bound is None:
-            result = _CallResult(ok=False, error=f"unit {ref.unit} is not loaded")
-        else:
-            if view is None:  # the last view went to a unit that failed
-                _, view = _cross(env, env, False)
-            result = _call_unit(bound, view, timeout_s)
-            view = None
+        if view is None:  # the last view went to a unit that failed
+            _, view = _cross(env, env, False)
+        result = _call_unit(units[ref.unit], view, timeout_s)
+        view = None
         duration_us = max(0, int((time.perf_counter() - started) * 1_000_000))
 
-        if result.ok:
-            assert result.envelope is not None and result.directive is not None
-            error: str | None = None
+        if not isinstance(result, str):
+            new_env, directive = result
             try:
-                more = (
-                    fail_open
-                    and position + 1 < len(order)
-                    and not isinstance(result.directive, Stop)
-                )
-                crossed, next_view = _cross(env, result.envelope, more)
-                next_position = apply_directive(result.directive, position, order)
+                more = fail_open and position + 1 < len(order) and not isinstance(directive, Stop)
+                crossed, next_view = _cross(env, new_env, more)
+                next_position = apply_directive(directive, position, order)
             except Exception as exc:  # e.g. a dict the handler still mutates elsewhere
-                error = str(exc) if isinstance(exc, DirectiveError) else f"{type(exc).__name__}: {exc}"
-            if error is None:
+                result = str(exc) if isinstance(exc, DirectiveError) else f"{type(exc).__name__}: {exc}"
+            else:
                 env, view = crossed, next_view
                 finish(
                     ExecutionRecord(
@@ -270,12 +240,11 @@ def run_chain(
                         handler=ref.handler,
                         outcome=Outcome.OK,
                         duration_us=duration_us,
-                        directive=result.directive,
+                        directive=directive,
                     )
                 )
                 position = next_position
                 continue
-            result = _CallResult(ok=False, error=error)
 
         finish(
             ExecutionRecord(
@@ -284,7 +253,7 @@ def run_chain(
                 handler=ref.handler,
                 outcome=Outcome.ERROR,
                 duration_us=duration_us,
-                error=result.error,
+                error=result,
             )
         )
         if policy is ErrorPolicy.FAIL_CLOSED:
@@ -292,11 +261,9 @@ def run_chain(
                 unit=ref.unit,
                 version=ref.version,
                 handler=ref.handler,
-                message=result.error or "unit error",
+                message=result,
                 trace=tuple(records),
             )
         position += 1  # FAIL_OPEN: pre-error envelope flows onward
 
-    return Envelope(
-        env.id, env.extension_point, env.payload, env.annotations, env.epoch, tuple(records)
-    )
+    return Envelope(env.id, env.extension_point, env.payload, env.epoch, tuple(records))

@@ -237,13 +237,14 @@ def _unit_dir(args) -> Path:
     drop = Path(args.drop_dir)
     if not drop.is_dir():
         raise RegistryError(f"drop directory unreadable: {drop}")
-    return drop / args.name
+    unit_dir = drop / args.name
+    if not unit_dir.is_dir():
+        raise RegistryError(f"unknown unit: {args.name}")
+    return unit_dir
 
 
 def cmd_disable(args) -> int:
     unit_dir = _unit_dir(args)
-    if not unit_dir.is_dir():
-        raise RegistryError(f"unknown unit: {args.name}")
     marker = unit_dir / DISABLED_FILENAME
     if marker.exists():
         print(f"{args.name} already disabled (no-op)")

@@ -551,7 +551,6 @@ class Envelope:
     id: str
     extension_point: str
     payload: dict[str, Any]
-    annotations: dict[str, Any] = field(default_factory=dict)
     epoch: int = 0
     trace: tuple[ExecutionRecord, ...] = ()
 
@@ -561,9 +560,7 @@ class Envelope:
 
     def with_payload(self, payload: dict[str, Any]) -> "Envelope":
         # the constructor, not dataclasses.replace, which inspects the fields per call
-        return Envelope(
-            self.id, self.extension_point, payload, self.annotations, self.epoch, self.trace
-        )
+        return Envelope(self.id, self.extension_point, payload, self.epoch, self.trace)
 
 
 _envelope_counter = 0

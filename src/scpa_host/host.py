@@ -10,6 +10,7 @@ import threading
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
+from types import CodeType
 from typing import Any, Callable, Mapping, TextIO
 
 from .chain import ChainError, DEFAULT_TIMEOUT_MS, ErrorPolicy, run_chain
@@ -24,7 +25,7 @@ from .contract import (
     new_envelope_id,
 )
 from .diagnostics import DiagnosticLog
-from .loading import CodeStore, payload_unit_factory
+from .loading import code_key, payload_unit_factory
 from .registry import (
     Discovery,
     DropDirUnreadable,
@@ -146,11 +147,17 @@ class SwapReport:
 class _Resolved:
     """One unit's version choice on a tick, reused on a later tick that scans
     the identical Discovery objects and pin.  Holding the objects keeps
-    their identities from passing to new ones."""
+    their identities from passing to new ones.
+
+    ``codes`` is the code this host compiled for the unit's versions on
+    disk, keyed by ``code_key``: the only copy the host keeps.  A new memo
+    takes over the entries whose key is among its discoveries; a unit with
+    no version left on disk has no memo, so its code goes too."""
 
     discoveries: list[Discovery]
     pin: str | None
     choice: Discovery | PinMissing
+    codes: dict[tuple[str, str, str], CodeType]
 
     def holds_for(self, discoveries: list[Discovery], pin: str | None) -> bool:
         return (
@@ -207,7 +214,6 @@ class Host:
         )
         self._scan_cache: ScanCache = {}
         self._resolved: dict[str, _Resolved] = {}
-        self._code_store = CodeStore()
         self._writer_lock = threading.RLock()
         self._stats: dict[tuple[str, str], _UnitStats] = {}
         self._stats_lock = threading.Lock()
@@ -280,15 +286,13 @@ class Host:
             desired: dict[str, Discovery] = {}
             blocked: set[str] = set()
             resolved: dict[str, _Resolved] = {}
-            carried = 0  # names that had a memo on the previous tick
             for name, discoveries in by_name.items():
                 pin = result.pins.get(name)
                 memo = self._resolved.get(name)
-                if memo is not None:
-                    carried += 1
                 if memo is None or not memo.holds_for(discoveries, pin):
-                    memo = _Resolved(discoveries, pin, _resolve(name, discoveries, pin))
-                    self._code_store.retain(name, discoveries)
+                    keys = {code_key(d) for d in discoveries}
+                    codes = {k: c for k, c in memo.codes.items() if k in keys} if memo else {}
+                    memo = _Resolved(discoveries, pin, _resolve(name, discoveries, pin), codes)
                 resolved[name] = memo
                 if name in result.disabled:
                     continue
@@ -299,15 +303,12 @@ class Host:
                     blocked.add(name)
                 else:
                     desired[name] = choice
-            if carried < len(self._resolved):  # some unit has no version left on disk
-                for name in self._resolved.keys() - resolved.keys():
-                    self._code_store.retain(name, [])
             self._resolved = resolved
 
             activated: list[tuple[str, str]] = []
             deactivated: list[tuple[str, str]] = []
 
-            for name in sorted(self._registry.active_names() - desired.keys() - blocked):
+            for name in sorted(self._registry.snapshot.bound.keys() - desired.keys() - blocked):
                 version = self._registry.active_version(name)
                 self._registry.deactivate(name)
                 deactivated.append((name, version or "?"))
@@ -329,8 +330,9 @@ class Host:
                     self._registry.note_discovery(discovery)
                     if self._registry.record_state(name, discovery.version) is UnitState.FAILED:
                         continue
+                codes = resolved[name].codes
                 try:
-                    self._registry.activate(replace(discovery, code_store=self._code_store))
+                    self._registry.activate(replace(discovery, code_store=codes))
                 except PayloadChanged as exc:
                     reject = Reject(str(discovery.path), "checksum-mismatch", exc.reason)
                     rejects.append(reject)
@@ -341,7 +343,9 @@ class Host:
                         f"REJECT {discovery.path or name} load-failed {exc.reason}"
                     )
                     continue
-                self._code_store.add(discovery, self._registry.active_entry(name).unit)
+                code = getattr(self._registry.snapshot.bound[name].unit, "code", None)
+                if isinstance(code, CodeType):  # after load() succeeded: a failed one stores nothing
+                    codes[code_key(discovery)] = code
                 if current is not None:
                     deactivated.append((name, current))
                 activated.append((name, discovery.version))

@@ -285,15 +285,9 @@ def round_half_up(value: float, places: int = 2) -> float:
     return float(Decimal(repr(value)).quantize(quantum, rounding=ROUND_HALF_UP))
 
 
-def format_report(
-    report: ImprovementReport,
-    fmt: str = "text",
-    reference: Mapping[str, float] | None = None,
-) -> str:
+def format_report(report: ImprovementReport, fmt: str = "text") -> str:
     """Render the report as an aligned text table or CSV, with notes for any
     metric whose recomputed change differs from its published headline."""
-    if reference is None:
-        reference = PUBLISHED_HEADLINE_CHANGES
     rows = [
         (
             c.metric,
@@ -305,9 +299,9 @@ def format_report(
     ]
     notes = []
     for c in report.changes:
-        if c.metric in reference:
+        if c.metric in PUBLISHED_HEADLINE_CHANGES:
             computed = round_half_up(c.percent_change)
-            stated = reference[c.metric]
+            stated = PUBLISHED_HEADLINE_CHANGES[c.metric]
             delta = abs(computed - stated)
             if delta > 0.005:
                 notes.append(

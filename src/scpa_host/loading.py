@@ -63,49 +63,13 @@ def load_payload_module(path: Path, unit_name: str, version: str, code: CodeType
     return module
 
 
-class CodeStore:
-    """One host's compiled payload code, keyed by payload path and manifest
-    checksum and grouped by unit.  A host scans one drop dir, so a unit's
-    version and its manifest's ``payload_ref`` name the payload's path.
-
-    An entry is only ever looked up after the bytes just read from its path
-    have been verified against its checksum, so the code it holds was
-    compiled from those same bytes.  Only the host's tick, under its writer
-    lock, reads or changes the store.
-    """
-
-    def __init__(self):
-        self._units: dict[str, dict[tuple[str, str, str], CodeType]] = {}
-
-    @staticmethod
-    def _key(discovery: Discovery) -> tuple[str, str, str]:
-        manifest = discovery.manifest
-        return discovery.version, manifest.payload_ref, manifest.checksum
-
-    def get(self, discovery: Discovery) -> CodeType | None:
-        entries = self._units.get(discovery.name)
-        return entries.get(self._key(discovery)) if entries else None
-
-    def add(self, discovery: Discovery, unit: object) -> None:
-        """Keep the code ``unit`` was loaded from, if it is a PayloadUnit."""
-        code = getattr(unit, "code", None)
-        if isinstance(code, CodeType):
-            self._units.setdefault(discovery.name, {})[self._key(discovery)] = code
-
-    def retain(self, name: str, discoveries: list[Discovery]) -> None:
-        """Drop ``name``'s entries for every payload not among ``discoveries``,
-        the unit's versions now on disk."""
-        entries = self._units.get(name)
-        if not entries:
-            return
-        keep = {self._key(d) for d in discoveries}
-        for key in entries.keys() - keep:
-            del entries[key]
-        if not entries:
-            del self._units[name]
-
-    def __len__(self) -> int:
-        return sum(map(len, self._units.values()))
+def code_key(discovery: Discovery) -> tuple[str, str, str]:
+    """The key a host files a unit's compiled code under: its version,
+    payload_ref and manifest checksum.  A host scans one drop dir, so the
+    unit, version and payload_ref name the payload's path, and code is only
+    looked up after the bytes read from that path matched the checksum."""
+    manifest = discovery.manifest
+    return discovery.version, manifest.payload_ref, manifest.checksum
 
 
 class PayloadUnit:
@@ -183,16 +147,17 @@ def payload_unit_factory(discovery: Discovery, context: HostContext) -> PayloadU
     The payload is read once and checked against the manifest checksum
     again: the scan that verified it may be many ticks old.  Raises
     ChecksumMismatch when the bytes changed since.  Only then is the code
-    looked up in the discovery's ``code_store``; without one, or on a miss,
-    the verified bytes are compiled.
+    looked up under ``code_key`` in the discovery's ``code_store``, the
+    unit's compiled code its host keeps; without one, or on a miss, the
+    verified bytes are compiled.
     """
     if discovery.path is None:
         raise PayloadError(f"discovery of {discovery.name} has no on-disk bundle")
     payload_path = Path(discovery.path) / discovery.manifest.payload_ref
     source = payload_path.read_bytes()
     verify_payload(discovery.manifest, source)
-    store = discovery.code_store
-    code = store.get(discovery) if store is not None else None
+    codes = discovery.code_store
+    code = codes.get(code_key(discovery)) if codes is not None else None
     if code is None:
         code = compile_payload(payload_path, source)
     module = load_payload_module(payload_path, discovery.name, discovery.version, code)

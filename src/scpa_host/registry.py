@@ -16,8 +16,8 @@ import time
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from types import MappingProxyType
-from typing import TYPE_CHECKING, Callable, Iterable, KeysView, Mapping
+from types import CodeType, MappingProxyType
+from typing import Callable, Iterable, Mapping
 
 from .contract import (
     HOST_VERSION,
@@ -32,9 +32,6 @@ from .contract import (
     parse_version,
     verify_payload,
 )
-
-if TYPE_CHECKING:
-    from .loading import CodeStore
 
 PIN_FILENAME = "pin"
 DISABLED_FILENAME = "disabled"
@@ -172,14 +169,17 @@ def order_units(handlers: Iterable[HandlerRef]) -> list[HandlerRef]:
 class Discovery:
     """A valid bundle found on disk (or constructed in memory for tests).
 
-    ``code_store``, set by a host on the discovery it activates, holds the
-    code that host compiled from earlier activations."""
+    ``code_store``, set by a host on the discovery it activates, is the
+    unit's code that host compiled for the versions on disk, keyed by
+    ``loading.code_key``."""
 
     name: str
     version: str
     manifest: Manifest
     path: Path | None = None
-    code_store: CodeStore | None = field(default=None, compare=False, repr=False)
+    code_store: dict[tuple[str, str, str], CodeType] | None = field(
+        default=None, compare=False, repr=False
+    )
 
 
 @dataclass(frozen=True)
@@ -540,14 +540,8 @@ class Registry:
         entry = self._snapshot.bound.get(name)
         return entry.manifest.version if entry else None
 
-    def active_entry(self, name: str) -> BoundUnit | None:
-        return self._snapshot.bound.get(name)
-
     def active_entries(self) -> dict[str, BoundUnit]:
         return dict(self._snapshot.bound)
-
-    def active_names(self) -> KeysView[str]:
-        return self._snapshot.bound.keys()
 
     def record_state(self, name: str, version: str) -> UnitState | None:
         record = self._records.get((name, version))
@@ -601,7 +595,7 @@ class Registry:
         """Publish the next epoch with ``name``'s routes moved from manifest
         ``old`` to ``entry``'s, and ``name`` bound to ``entry`` (either may be
         None).  Only the extension points they bind are rebuilt; every other
-        route and BoundUnit is carried over as is.  The EPOCH line is written
+        route and BoundUnit is kept as is.  The EPOCH line is written
         once the epoch is live."""
         new = entry.manifest if entry is not None else None
         added: dict[str, list[HandlerRef]] = {}

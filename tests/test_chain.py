@@ -311,39 +311,6 @@ class TestRunChain:
         assert out.epoch == registry.snapshot.epoch
         assert out.payload == {"k": "x"}
 
-    def test_annotations_flow_between_units(self):
-        class NoteTaker:
-            def __init__(self, name, note):
-                self.name = name
-                self.note = note
-
-            def load(self, context):
-                return None
-
-            def execute(self, envelope):
-                from dataclasses import replace
-
-                annotations = dict(envelope.annotations)
-                annotations[self.name] = self.note
-                payload = dict(envelope.payload)
-                payload["seen_notes"] = sorted(envelope.annotations)
-                return replace(envelope, payload=payload, annotations=annotations)
-
-            def next(self, envelope):
-                return CONTINUE
-
-        registry = MemoryRegistry()
-        registry._units[("nn", "1.0.0")] = NoteTaker("nn", "first")
-        registry._units[("oo", "1.0.0")] = NoteTaker("oo", "second")
-        from scpa_host.registry import Discovery
-        from _util import reference_manifest
-
-        registry.registry.activate(Discovery("nn", "1.0.0", reference_manifest("nn", "1.0.0", 10, [EP])))
-        registry.registry.activate(Discovery("oo", "1.0.0", reference_manifest("oo", "1.0.0", 20, [EP])))
-        out = run_chain(registry.snapshot, EP, make_envelope(EP, {}), units=registry.bound())
-        assert out.payload["seen_notes"] == ["nn"]
-        assert out.annotations == {"nn": "first", "oo": "second"}
-
     def test_trace_lines_emitted(self):
         snapshot, bound = build([("aa", 10, Behavior(("append", "k", "a")))])
         lines = []

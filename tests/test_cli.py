@@ -148,6 +148,13 @@ class TestToggleAndRollback:
     def test_disable_unknown_unit(self, tmp_path, capsys):
         assert main(["disable", "ghost", "--drop-dir", str(tmp_path)]) == 1
 
+    def test_enable_unknown_unit(self, tmp_path, capsys):
+        assert main(["enable", "ghost", "--drop-dir", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert "unknown unit: ghost" in captured.err
+        assert "no-op" not in captured.out
+        assert not (tmp_path / "ghost").exists()
+
     def test_rollback_writes_pin(self, tmp_path, capsys):
         write_bundle(tmp_path, "unit-a", "1.0.0", APPEND, BINDINGS)
         write_bundle(tmp_path, "unit-a", "1.1.0", APPEND, BINDINGS)

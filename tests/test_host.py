@@ -33,6 +33,12 @@ APPEND = (
 
 FAILING = "def handle(payload, context):\n    raise RuntimeError('dead unit')\n"
 
+MESSAGELESS = (
+    "from scpa_host.contract import UnitExecutionError\n"
+    "def handle(payload, context):\n"
+    "    raise UnitExecutionError()\n"
+)
+
 
 def make_host(tmp_path, **overrides) -> Host:
     drop = tmp_path / "drop"
@@ -343,6 +349,32 @@ class TestDispatch:
             row = next(r for r in host.status().units if r.name == "unit-a")
             assert row.errors == 1
             assert row.dispatches == 1
+        finally:
+            host.stop()
+
+    @pytest.mark.parametrize("policy", [ErrorPolicy.FAIL_OPEN, ErrorPolicy.FAIL_CLOSED])
+    def test_a_unit_error_with_no_message_is_contained(self, tmp_path, policy):
+        stream = io.StringIO()
+        host = make_host(tmp_path, diagnostics=stream, error_policy=policy)
+        drop = host.config.drop_dir
+        write_bundle(drop, "unit-a", "1.0.0", MESSAGELESS, [("business", EP, "handle")], priority=10)
+        write_bundle(drop, "unit-b", "1.0.0", APPEND.format(stamp="b"), [("business", EP, "handle")], priority=20)
+        host.start()
+        try:
+            written = len(stream.getvalue())
+            if policy is ErrorPolicy.FAIL_OPEN:
+                assert host.dispatch(EP, {"log": ""}) == {"log": "b"}
+                expected = [("unit-a@1.0.0", "error"), ("unit-b@1.0.0", "ok")]
+            else:
+                with pytest.raises(ChainError) as err:
+                    host.dispatch(EP, {"log": ""})
+                assert (err.value.unit, err.value.message) == ("unit-a", "UnitExecutionError")
+                assert [r.error for r in err.value.trace] == ["UnitExecutionError"]
+                expected = [("unit-a@1.0.0", "error")]
+            lines = stream.getvalue()[written:].splitlines()
+            assert [(f[3], f[5]) for f in map(str.split, lines)] == expected
+            row = next(r for r in host.status().units if r.name == "unit-a")
+            assert (row.dispatches, row.errors) == (1, 1)
         finally:
             host.stop()
 
@@ -1130,6 +1162,11 @@ STATEFUL = (
 )
 
 
+def stored(host: Host) -> int:
+    """How many compiled payloads the host keeps, over every unit's memo."""
+    return sum(len(memo.codes) for memo in host._resolved.values())
+
+
 class TestCodeReuse:
     """A host runs the code it compiled earlier from the same verified bytes
     at the same path, in a fresh module, and compiles nothing else twice."""
@@ -1237,7 +1274,7 @@ class TestCodeReuse:
             host.hot_swap_cycle()
             self.deploy(drop, "1.0.0", "b1")
             assert not host.hot_swap_cycle().changed
-            assert len(host._code_store) == 1  # the old 1.0.0 bytes are gone from disk
+            assert stored(host) == 1  # the old 1.0.0 bytes are gone from disk
             write_pin(drop / "unit-a", "1.0.0")
             assert host.hot_swap_cycle().activated == (("unit-a", "1.0.0"),)
             assert host.dispatch(EP, {}) == {"stamp": "b1", "calls": 1}
@@ -1257,11 +1294,11 @@ class TestCodeReuse:
                 if patch >= 2:
                     shutil.rmtree(drop / "unit-a" / f"1.0.{patch - 2}")
                 assert host.hot_swap_cycle().activated == (("unit-a", f"1.0.{patch}"),)
-                assert len(host._code_store._units["unit-a"]) <= 2
+                assert len(host._resolved["unit-a"].codes) <= 2
             assert len(compiles) == 22
             shutil.rmtree(drop / "unit-a")
             assert host.hot_swap_cycle().deactivated == (("unit-a", "1.0.20"),)
-            assert list(host._code_store._units) == ["unit-b"]
+            assert [n for n, memo in host._resolved.items() if memo.codes] == ["unit-b"]
         finally:
             host.stop()
 
@@ -1278,7 +1315,7 @@ class TestCodeReuse:
             host.hot_swap_cycle()
 
             def entries():
-                return {(n, k): code for n, e in host._code_store._units.items() for k, code in e.items()}
+                return {(n, k): code for n, m in host._resolved.items() for k, code in m.codes.items()}
 
             before = entries()
             assert len(before) == 4
@@ -1299,7 +1336,7 @@ class TestCodeReuse:
         for _ in range(2):
             host = make_host(tmp_path)
             host.start()
-            assert len(host._code_store) == 3
+            assert stored(host) == 3
             host.stop()
         assert sorted(compiles) == sorted([(n, "1.0.0") for n in ("unit-a", "unit-b", "unit-c")] * 2)
 
@@ -1310,7 +1347,7 @@ class TestCodeReuse:
         host.start()
         try:
             assert host.registry.record_state("unit-a", "1.0.0") is UnitState.FAILED
-            assert len(host._code_store) == 0
+            assert stored(host) == 0
         finally:
             host.stop()
 

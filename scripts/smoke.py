@@ -3,8 +3,9 @@
 Starts a host over a temporary drop dir, dispatches through two units,
 deploys a second version, rolls it back with ``scpa-host rollback`` and
 ticks, then lets a unit call run past its timeout and replaces its version
-while the call still runs, and has a unit raise an error with no message
-under fail-open containment, checking every result:
+while the call still runs, has a unit raise an error with no message
+under fail-open containment, and redeploys a version whose load failed
+once its bundle left the disk, checking every result:
 
     PYTHONPATH=src python scripts/smoke.py
 
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import gc
 import io
+import shutil
 import sys
 import tempfile
 import time
@@ -32,6 +34,13 @@ SLEEPER = "import time\ndef handle(payload, context):\n    time.sleep(0.3)\n    
 RAISER = (
     "from scpa_host.contract import UnitExecutionError\n"
     "def handle(payload, context):\n    raise UnitExecutionError()\n"
+)
+NEEDS_DATA = (
+    "from pathlib import Path\n"
+    "def load(context):\n"
+    "    if not (Path(context.data_dir) / 'ready').exists():\n"
+    "        raise RuntimeError('data file missing')\n"
+    "def handle(payload, context):\n    return dict(payload, ready=True)\n"
 )
 
 
@@ -126,6 +135,31 @@ def check_containment() -> None:
             host.stop()
 
 
+def check_redeploy_after_failure() -> None:
+    """A version whose load failed is not retried while its bundle stays on
+    disk; removed and redeployed with the same bytes, it loads again."""
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        (work / "drop").mkdir()
+        deploy(work, "1.0.0", name="needs-data", text=NEEDS_DATA)
+        config = HostConfig(drop_dir=work / "drop", scan_interval_ms=60_000, diagnostics=io.StringIO())
+        host = Host(config)
+        host.start()
+        try:
+            expect("without its data file", state(host, "needs-data", "1.0.0"), "failed")
+            expect("failed dispatch", host.dispatch(EP, {}), {})
+            (work / "drop" / ".scpa" / "data" / "needs-data" / "ready").touch()
+            expect("same bytes on disk", host.hot_swap_cycle().changed, False)
+            shutil.rmtree(work / "drop" / "needs-data")
+            host.hot_swap_cycle()
+            expect("status after removal", host.status().units, ())
+            deploy(work, "1.0.0", name="needs-data", text=NEEDS_DATA)
+            expect("redeploy tick", host.hot_swap_cycle().activated, (("needs-data", "1.0.0"),))
+            expect("after redeploy", host.dispatch(EP, {}), {"ready": True})
+        finally:
+            host.stop()
+
+
 def main() -> int:
     unraisable = []
     sys.unraisablehook = unraisable.append
@@ -157,6 +191,7 @@ def main() -> int:
             host.stop()
     check_timeout()
     check_containment()
+    check_redeploy_after_failure()
     gc.collect()
     expect("warnings raised in finalizers", [str(u.exc_value) for u in unraisable], [])
     print(f"smoke ok on Python {sys.version.split()[0]}")

@@ -21,6 +21,7 @@ from pathlib import Path
 from .chain import ChainError
 from .contract import (
     MANIFEST_FILENAME,
+    NAME_RE,
     ManifestError,
     ChecksumMismatch,
     parse_manifest,
@@ -238,7 +239,7 @@ def _unit_dir(args) -> Path:
     if not drop.is_dir():
         raise RegistryError(f"drop directory unreadable: {drop}")
     unit_dir = drop / args.name
-    if not unit_dir.is_dir():
+    if not NAME_RE.fullmatch(args.name) or not unit_dir.is_dir():  # ".." or "a/b" is no unit
         raise RegistryError(f"unknown unit: {args.name}")
     return unit_dir
 

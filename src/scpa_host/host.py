@@ -1,5 +1,5 @@
 """Long-running host runtime: drop-folder watcher, epoch-based hot swap with
-draining, concurrent dispatch against pinned snapshots, and per-unit stats.
+draining, concurrent dispatch against pinned snapshots, and per-unit status.
 """
 
 from __future__ import annotations
@@ -18,9 +18,7 @@ from .contract import (
     EXTENSION_POINT_RE,
     HOST_VERSION,
     Envelope,
-    ExecutionRecord,
     HostContext,
-    Outcome,
     make_envelope,  # noqa: F401  unused here; the benchmark's tracer rebinds it
     new_envelope_id,
 )
@@ -189,13 +187,6 @@ def _resolve(name: str, discoveries: list[Discovery], pin: str | None) -> Discov
     return next(d for d in discoveries if d.version == version)
 
 
-@dataclass
-class _UnitStats:
-    dispatches: int = 0
-    errors: int = 0
-    total_us: int = 0
-
-
 class Host:
     """Ties registry and chain together over one drop folder.
 
@@ -215,8 +206,6 @@ class Host:
         self._scan_cache: ScanCache = {}
         self._resolved: dict[str, _Resolved] = {}
         self._writer_lock = threading.RLock()
-        self._stats: dict[tuple[str, str], _UnitStats] = {}
-        self._stats_lock = threading.Lock()
         self._epoch_listeners: list[Callable[[SwapReport], None]] = []
         self._watcher: threading.Thread | None = None
         self._stop = threading.Event()
@@ -286,10 +275,12 @@ class Host:
             desired: dict[str, Discovery] = {}
             blocked: set[str] = set()
             resolved: dict[str, _Resolved] = {}
+            missed = False
             for name, discoveries in by_name.items():
                 pin = result.pins.get(name)
                 memo = self._resolved.get(name)
                 if memo is None or not memo.holds_for(discoveries, pin):
+                    missed = True
                     keys = {code_key(d) for d in discoveries}
                     codes = {k: c for k, c in memo.codes.items() if k in keys} if memo else {}
                     memo = _Resolved(discoveries, pin, _resolve(name, discoveries, pin), codes)
@@ -303,6 +294,8 @@ class Host:
                     blocked.add(name)
                 else:
                     desired[name] = choice
+            if missed or len(resolved) != len(self._resolved):  # the versions on disk may differ
+                self._registry.forget({(d.name, d.version) for d in result.discoveries})
             self._resolved = resolved
 
             activated: list[tuple[str, str]] = []
@@ -324,12 +317,8 @@ class Host:
                     # work waits for the next tick
                     self.diag(f"REJECT {discovery.path or name} still-draining retry next tick")
                     continue
-                if state is UnitState.FAILED:
-                    # note_discovery replaces Failed records when the checksum
-                    # changed; an unchanged Failed version never auto-retries.
-                    self._registry.note_discovery(discovery)
-                    if self._registry.record_state(name, discovery.version) is UnitState.FAILED:
-                        continue
+                if self._registry.failed(discovery):
+                    continue  # never retried on the bytes whose load failed
                 codes = resolved[name].codes
                 try:
                     self._registry.activate(replace(discovery, code_store=codes))
@@ -399,9 +388,9 @@ class Host:
                     diag=lines.append,
                 )
             except ChainError as exc:
-                self._record_stats(exc.trace)
+                self._registry.count_calls(exc.trace)
                 raise
-            self._record_stats(result.trace)
+            self._registry.count_calls(result.trace)
             return result.payload
         finally:
             for bound in snapshot.bound_for(extension_point):
@@ -413,42 +402,29 @@ class Host:
             with self._writer_lock:
                 self._registry.retire_drained()
 
-    def _record_stats(self, trace: tuple[ExecutionRecord, ...]) -> None:
-        with self._stats_lock:
-            for record in trace:
-                stats = self._stats.setdefault((record.unit, record.version), _UnitStats())
-                stats.dispatches += 1
-                if record.outcome is Outcome.ERROR:
-                    stats.errors += 1
-                stats.total_us += record.duration_us
-
     # -- reporting -----------------------------------------------------------
 
     def status(self) -> HostStatus:
+        """One row per version the registry knows, with the calls dispatches
+        counted for it: the versions on disk, Active or Draining.  One whose
+        bundle left the disk goes at the next tick that sees the disk change."""
         with self._writer_lock:
-            snapshot = self._registry.snapshot
-            records = self._registry.records()
-        with self._stats_lock:
-            stats = {
-                key: _UnitStats(s.dispatches, s.errors, s.total_us)
-                for key, s in self._stats.items()
-            }
+            epoch = self._registry.snapshot.epoch
+            versions = self._registry.versions()
         rows = []
-        for (name, version), (state, _reason) in sorted(records.items()):
-            s = stats.get((name, version), _UnitStats())
-            mean = (s.total_us / s.dispatches) if s.dispatches else 0.0
+        for name, version, state, calls, errors, total_us in versions:
             rows.append(
                 UnitStatusRow(
                     name=name,
                     version=version,
                     state=state.value,
-                    dispatches=s.dispatches,
-                    errors=s.errors,
-                    mean_duration_us=mean,
+                    dispatches=calls,
+                    errors=errors,
+                    mean_duration_us=(total_us / calls) if calls else 0.0,
                 )
             )
         return HostStatus(
-            epoch=snapshot.epoch,
+            epoch=epoch,
             units=tuple(rows),
             drop_dir=self.config.drop_dir,
             uptime_seconds=time.monotonic() - self._started_at if self._started else 0.0,

@@ -1,4 +1,4 @@
-"""Unit registry: drop-folder discovery, lifecycle state machine, version
+"""Unit registry: drop-folder discovery, derived lifecycle states, version
 resolution, and immutable epoch snapshots supporting hot-swap and rollback.
 
 Drop-folder layout: ``<drop>/<name>/<version>/manifest.scpa`` plus payload
@@ -22,11 +22,13 @@ from typing import Callable, Iterable, Mapping
 from .contract import (
     HOST_VERSION,
     MANIFEST_FILENAME,
+    ExecutionRecord,
     HostContext,
     LoadReport,
     Manifest,
     ManifestError,
     ChecksumMismatch,
+    Outcome,
     PipelineUnit,
     parse_manifest,
     parse_version,
@@ -79,32 +81,12 @@ class NoPriorVersion(RegistryError):
         self.name = name
 
 
-class IllegalTransition(RegistryError):
-    def __init__(self, name: str, version: str, old: "UnitState", new: "UnitState"):
-        super().__init__(f"{name}@{version}: illegal transition {old.name} -> {new.name}")
-        self.old = old
-        self.new = new
-
-
 class UnitState(Enum):
-    DISCOVERED = "discovered"
     VALIDATED = "validated"
     ACTIVE = "active"
     DRAINING = "draining"
     RETIRED = "retired"
     FAILED = "failed"
-
-
-_FORWARD_TRANSITIONS = {
-    (UnitState.DISCOVERED, UnitState.VALIDATED),
-    (UnitState.VALIDATED, UnitState.ACTIVE),
-    (UnitState.ACTIVE, UnitState.DRAINING),
-    (UnitState.DRAINING, UnitState.RETIRED),
-}
-
-LEGAL_TRANSITIONS = _FORWARD_TRANSITIONS | {
-    (state, UnitState.FAILED) for state in UnitState if state is not UnitState.FAILED
-}
 
 
 @dataclass(frozen=True)
@@ -476,15 +458,23 @@ def previous_version(name: str, current: str, versions: Iterable[str]) -> str:
 
 
 @dataclass
-class _VersionRecord:
-    manifest: Manifest
-    state: UnitState
-    reason: str = ""
+class _Version:
+    """The facts about one unit@version that only the registry knows: the
+    checksum of the bytes it last tried to load, why that load failed (None
+    when it did not), whether it loaded, and the calls dispatches counted
+    for it (calls, errors, total µs).  Whether it is Active or Draining is
+    not kept here: the snapshot and ``_draining`` say so."""
+
+    checksum: str
+    failure: str | None = None
+    loaded: bool = False
+    calls: int = 0
+    errors: int = 0
+    total_us: int = 0
 
 
 UnitFactory = Callable[[Discovery, HostContext], PipelineUnit]
 ContextFactory = Callable[[str], HostContext]
-TransitionListener = Callable[[str, str, UnitState | None, UnitState], None]
 
 
 def _default_context_factory(name: str) -> HostContext:
@@ -500,6 +490,11 @@ class Registry:
     ``snapshot`` at any time; ``hold`` also registers a holder, under the
     lock each new snapshot is swapped in under.
 
+    A version's lifecycle state is derived, never stored: Active from the
+    snapshot, Draining from ``_draining``, and Failed, Retired or Validated
+    from the ``_Version`` facts the registry keeps for each version it has
+    tried to load, until ``forget`` drops them.
+
     The registry keeps no pins and has no rollback of its own: a rollback
     is a ``pin`` file, and the caller activates the version it resolves to.
     """
@@ -510,13 +505,11 @@ class Registry:
         *,
         context_factory: ContextFactory | None = None,
         diag: Callable[[str], None] | None = None,
-        transition_listener: TransitionListener | None = None,
     ):
         self._unit_factory = unit_factory
         self._context_factory = context_factory or _default_context_factory
         self._diag = diag
-        self._listener = transition_listener
-        self._records: dict[tuple[str, str], _VersionRecord] = {}
+        self._versions: dict[tuple[str, str], _Version] = {}
         self._draining: dict[tuple[str, str], BoundUnit] = {}
         self._snapshot = EMPTY_SNAPSHOT
         self._publish_lock = threading.Lock()
@@ -544,50 +537,63 @@ class Registry:
         return dict(self._snapshot.bound)
 
     def record_state(self, name: str, version: str) -> UnitState | None:
-        record = self._records.get((name, version))
-        return record.state if record else None
+        """The state of ``name``@``version``: Active while the snapshot binds
+        it, Draining while ``_draining`` holds it; otherwise Failed when its
+        last load failed, Retired when it loaded, Validated when its bytes
+        changed before they could load.  None for a version the registry
+        never tried to load, or has forgotten."""
+        if self.active_version(name) == version:
+            return UnitState.ACTIVE
+        if (name, version) in self._draining:
+            return UnitState.DRAINING
+        facts = self._versions.get((name, version))
+        if facts is None:
+            return None
+        if facts.failure is not None:
+            return UnitState.FAILED
+        return UnitState.RETIRED if facts.loaded else UnitState.VALIDATED
 
-    def records(self) -> dict[tuple[str, str], tuple[UnitState, str]]:
-        return {key: (rec.state, rec.reason) for key, rec in self._records.items()}
+    def failed(self, discovery: Discovery) -> bool:
+        """Whether the load of these very bytes of ``discovery`` failed.  Such
+        a version is never retried: only new bytes (a new checksum), or its
+        bundle leaving the disk until ``forget`` drops it, allow another try."""
+        facts = self._versions.get((discovery.name, discovery.version))
+        if facts is None or facts.failure is None:
+            return False
+        return facts.checksum == discovery.manifest.checksum
 
-    # -- state machine -------------------------------------------------
+    def forget(self, on_disk: set[tuple[str, str]]) -> None:
+        """Drop the facts of every version that is neither among ``on_disk``
+        (the (name, version) of each bundle on disk), Active nor Draining.
+        Its state reads None again, its call counts go, and a redeploy of the
+        same bytes loads afresh.  Coordinator only, like every mutation."""
+        for key in [key for key in self._versions if key not in on_disk]:
+            if self.record_state(*key) not in (UnitState.ACTIVE, UnitState.DRAINING):
+                del self._versions[key]
 
-    def _transition(self, name: str, version: str, new: UnitState, reason: str = "") -> None:
-        record = self._records[(name, version)]
-        if (record.state, new) not in LEGAL_TRANSITIONS:
-            raise IllegalTransition(name, version, record.state, new)
-        old = record.state
-        record.state = new
-        record.reason = reason
-        if self._listener is not None:
-            self._listener(name, version, old, new)
+    def count_calls(self, trace: Iterable[ExecutionRecord]) -> None:
+        """Add one dispatch's execution records to their versions' call
+        counts, under one lock.  A version a dispatch ran is held by it, so
+        it is Active or Draining and never forgotten meanwhile."""
+        with self._publish_lock:
+            for record in trace:
+                facts = self._versions.get((record.unit, record.version))
+                if facts is not None:
+                    facts.calls += 1
+                    if record.outcome is Outcome.ERROR:
+                        facts.errors += 1
+                    facts.total_us += record.duration_us
 
-    def _new_record(self, discovery: Discovery) -> None:
-        key = (discovery.name, discovery.version)
-        self._records[key] = _VersionRecord(
-            manifest=discovery.manifest, state=UnitState.DISCOVERED
-        )
-        if self._listener is not None:
-            self._listener(discovery.name, discovery.version, None, UnitState.DISCOVERED)
-        self._transition(discovery.name, discovery.version, UnitState.VALIDATED)
-
-    def note_discovery(self, discovery: Discovery) -> None:
-        """Record a scanned bundle.
-
-        A Retired version rediscovered on disk starts a fresh lifecycle (the
-        rollback path re-activates it).  A Failed record is replaced only
-        when the payload changed; otherwise it never auto-retries.
-        """
-        key = (discovery.name, discovery.version)
-        record = self._records.get(key)
-        if record is None or record.state is UnitState.RETIRED:
-            self._new_record(discovery)
-            return
-        if (
-            record.state is UnitState.FAILED
-            and record.manifest.checksum != discovery.manifest.checksum
-        ):
-            self._new_record(discovery)
+    def versions(self) -> list[tuple[str, str, UnitState, int, int, int]]:
+        """``(name, version, state, calls, errors, total_us)`` for every
+        version the registry knows, in (name, version) order.  Read it from
+        the coordinator sequence, so no mutation runs meanwhile; the counts
+        are read under the lock ``count_calls`` adds them under."""
+        with self._publish_lock:
+            return [
+                (name, version, self.record_state(name, version), f.calls, f.errors, f.total_us)
+                for (name, version), f in sorted(self._versions.items())
+            ]
 
     def _commit(
         self, name: str, old: Manifest | None, entry: BoundUnit | None, reason: str
@@ -629,53 +635,48 @@ class Registry:
     # -- operations ------------------------------------------------------
 
     def activate(self, discovery: Discovery) -> RegistrySnapshot:
-        """Load and activate a validated version; one new epoch.
+        """Load and activate a version; one new epoch.
 
-        If another version of the unit is active it transitions to Draining
-        and is absent from the new snapshot.  A load failure marks the
-        version Failed and leaves the snapshot unchanged; a payload whose
-        bytes no longer match the manifest raises PayloadChanged and leaves
-        the version Validated.
+        If another version of the unit is active it starts Draining and is
+        absent from the new snapshot.  A version that is Active or Draining,
+        or whose load failed on these same bytes, is refused.  A load
+        failure marks the version Failed and leaves the snapshot unchanged;
+        a payload whose bytes no longer match the manifest raises
+        PayloadChanged and leaves the version Validated.
         """
-        key = (discovery.name, discovery.version)
-        self.note_discovery(discovery)
-        record = self._records[key]
-        if record.state is UnitState.FAILED:
-            raise LoadFailed(discovery.name, f"version {discovery.version} previously failed")
-        if record.state is not UnitState.VALIDATED:
-            raise LoadFailed(
-                discovery.name,
-                f"version {discovery.version} is {record.state.value}, expected validated",
-            )
+        name, version = discovery.name, discovery.version
+        if self.failed(discovery):
+            raise LoadFailed(name, f"version {version} previously failed")
+        state = self.record_state(name, version)
+        if state in (UnitState.ACTIVE, UnitState.DRAINING):
+            raise LoadFailed(name, f"version {version} is {state.value}, expected validated")
+        facts = self._versions.setdefault((name, version), _Version(discovery.manifest.checksum))
+        facts.checksum, facts.failure, facts.loaded = discovery.manifest.checksum, None, False
 
         try:
-            context = self._context_factory(discovery.name)
+            context = self._context_factory(name)
             unit = self._unit_factory(discovery, context)
             report = unit.load(context)
         except ChecksumMismatch as exc:
-            raise PayloadChanged(discovery.name, str(exc)) from exc
+            raise PayloadChanged(name, str(exc)) from exc
         except (Exception, SystemExit) as exc:  # sys.exit() in the module body or load() too
-            reason = f"{type(exc).__name__}: {exc}"
-            self._transition(discovery.name, discovery.version, UnitState.FAILED, reason)
-            raise LoadFailed(discovery.name, reason) from exc
+            facts.failure = f"{type(exc).__name__}: {exc}"
+            raise LoadFailed(name, facts.failure) from exc
         if isinstance(report, LoadReport) and not report.ok:
-            self._transition(discovery.name, discovery.version, UnitState.FAILED, report.message)
-            raise LoadFailed(discovery.name, report.message or "load reported failure")
+            facts.failure = report.message or "load reported failure"
+            raise LoadFailed(name, facts.failure)
+        facts.loaded = True
 
-        previous = self._snapshot.bound.get(discovery.name)
+        previous = self._snapshot.bound.get(name)
         old = previous.manifest if previous is not None else None
         if previous is not None:
-            self._transition(discovery.name, old.version, UnitState.DRAINING, "replaced")
-            self._draining[(discovery.name, old.version)] = previous
-        self._transition(discovery.name, discovery.version, UnitState.ACTIVE)
+            self._draining[(name, old.version)] = previous
         entry = BoundUnit(
             unit=unit,
             gate=None if discovery.manifest.reentrant else threading.Lock(),
             manifest=discovery.manifest,
         )
-        return self._commit(
-            discovery.name, old, entry, f"activate {discovery.name}@{discovery.version}"
-        )
+        return self._commit(name, old, entry, f"activate {name}@{version}")
 
     def deactivate(self, name: str) -> RegistrySnapshot:
         """Remove the unit from the routes; its version drains until retired."""
@@ -683,18 +684,16 @@ class Registry:
         if entry is None:
             raise NotActive(name)
         version = entry.manifest.version
-        self._transition(name, version, UnitState.DRAINING, "deactivated")
         self._draining[(name, version)] = entry
         return self._commit(name, entry.manifest, None, f"deactivate {name}@{version}")
 
     def retire_if_drained(self, name: str, version: str) -> bool:
-        """Finish draining a version nothing holds any more: transition to
-        Retired and call unload() once.  False while it still has holders."""
+        """Finish draining a version nothing holds any more: it is Retired
+        and its unload() is called once.  False while it still has holders."""
         entry = self._draining.get((name, version))
         if entry is None or entry.running:
             return False
         del self._draining[(name, version)]
-        self._transition(name, version, UnitState.RETIRED, "drained")
         unload = getattr(entry.unit, "unload", None)
         if callable(unload):
             try:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 from scpa_host.chain import BoundUnit
@@ -111,6 +112,17 @@ def write_bundle(
     (bundle / "payload.py").write_bytes(payload)
     (bundle / MANIFEST_FILENAME).write_text(serialize_manifest(manifest), encoding="utf-8")
     return bundle
+
+
+def deploy_bundle(drop_dir: Path, name: str, version: str, payload_source: str, bindings, **kwargs) -> Path:
+    """Write a bundle into a staging directory beside the drop folder, then
+    rename it into place whole, as ``scpa-host deploy`` does: a host scanning
+    meanwhile never sees it half written."""
+    staged = write_bundle(Path(drop_dir).parent / ".staging", name, version, payload_source, bindings, **kwargs)
+    target = Path(drop_dir) / name / version
+    target.parent.mkdir(parents=True, exist_ok=True)
+    os.rename(staged, target)
+    return target
 
 
 def record_sequence_ok(sequence: list[str]) -> bool:

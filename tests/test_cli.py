@@ -155,6 +155,21 @@ class TestToggleAndRollback:
         assert "no-op" not in captured.out
         assert not (tmp_path / "ghost").exists()
 
+    @pytest.mark.parametrize("name", ["..", ".", "unit-a/1.0.0"])
+    def test_a_name_that_is_no_unit_name_changes_no_file(self, tmp_path, capsys, name):
+        drop = tmp_path / "drop"
+        write_bundle(drop, "unit-a", "1.0.0", APPEND, BINDINGS)
+        state = tree_state(tmp_path)
+        assert main(["disable", name, "--drop-dir", str(drop)]) == 1
+        assert f"unknown unit: {name}" in capsys.readouterr().err
+        assert tree_state(tmp_path) == state
+        for marker in (tmp_path / "disabled", drop / "disabled", drop / "unit-a" / "1.0.0" / "disabled"):
+            marker.touch()
+        state = tree_state(tmp_path)
+        assert main(["enable", name, "--drop-dir", str(drop)]) == 1
+        assert f"unknown unit: {name}" in capsys.readouterr().err
+        assert tree_state(tmp_path) == state
+
     def test_rollback_writes_pin(self, tmp_path, capsys):
         write_bundle(tmp_path, "unit-a", "1.0.0", APPEND, BINDINGS)
         write_bundle(tmp_path, "unit-a", "1.1.0", APPEND, BINDINGS)

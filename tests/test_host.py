@@ -7,6 +7,7 @@ import shutil
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 import weakref
 from pathlib import Path
@@ -18,9 +19,9 @@ from scpa_host.chain import ChainError, ErrorPolicy
 from scpa_host.contract import ValueMapError
 from scpa_host.diagnostics import DiagnosticLog
 from scpa_host.host import Host, HostConfig, HostConfigError, load_host_config
-from scpa_host.registry import DropDirUnreadable, UnitState, write_pin
+from scpa_host.registry import DropDirUnreadable, Registry, UnitState, write_pin
 
-from _util import write_bundle
+from _util import deploy_bundle, write_bundle
 
 EP = "business.things.do"
 
@@ -1037,6 +1038,33 @@ class TestIdleTick:
         finally:
             host.stop()
 
+    def test_only_a_tick_that_sees_the_disk_change_forgets(self, tmp_path, monkeypatch):
+        seen = []
+        real_forget = Registry.forget
+        monkeypatch.setattr(Registry, "forget", lambda self, on_disk: seen.append(on_disk) or real_forget(self, on_disk))
+        host = make_host(tmp_path)
+        drop = host.config.drop_dir
+        for name in ("unit-a", "unit-b"):
+            write_bundle(drop, name, "1.0.0", APPEND.format(stamp=name), [("business", EP, "handle")])
+        host.start()
+        try:
+            assert seen == [{("unit-a", "1.0.0"), ("unit-b", "1.0.0")}]
+            for _ in range(5):
+                assert not host.hot_swap_cycle().changed
+            assert len(seen) == 1
+            time.sleep(0.05)  # let directory timestamps move on
+            shutil.rmtree(drop / "unit-b")
+            assert host.hot_swap_cycle().deactivated == (("unit-b", "1.0.0"),)
+            assert seen[1:] == [{("unit-a", "1.0.0")}]
+            # retired after its bundle left the disk: forgotten at the next change
+            assert host.registry.record_state("unit-b", "1.0.0") is UnitState.RETIRED
+            time.sleep(0.05)
+            write_bundle(drop, "unit-a", "1.1.0", APPEND.format(stamp="A"), [("business", EP, "handle")])
+            assert host.hot_swap_cycle().activated == (("unit-a", "1.1.0"),)
+            assert host.registry.record_state("unit-b", "1.0.0") is None
+        finally:
+            host.stop()
+
     def test_missing_pin_is_reported_on_every_tick_and_the_active_version_runs_on(self, tmp_path):
         stream = io.StringIO()
         host = make_host(tmp_path, diagnostics=stream)
@@ -1364,7 +1392,7 @@ class TestSystemExitInPayload:
             time.sleep(0.02)
 
     def deploy_good_unit_and_wait(self, host):
-        write_bundle(host.config.drop_dir, "good", "1.0.0", APPEND.format(stamp="g"), [("business", EP, "handle")])
+        deploy_bundle(host.config.drop_dir, "good", "1.0.0", APPEND.format(stamp="g"), [("business", EP, "handle")])
         self.wait_for(lambda: host.registry.active_version("good") == "1.0.0", "the watcher stopped activating")
         assert host._watcher.is_alive()
 
@@ -1380,7 +1408,9 @@ class TestSystemExitInPayload:
         stream = io.StringIO()
         host = make_host(tmp_path, scan_interval_ms=20, diagnostics=stream).start()
         try:
-            write_bundle(host.config.drop_dir, "quitter", "1.0.0", source, [("business", EP, "handle")])
+            # renamed into place whole: the 20-ms watcher must not list a bundle
+            # without its manifest, which would add a missing-manifest reject
+            deploy_bundle(host.config.drop_dir, "quitter", "1.0.0", source, [("business", EP, "handle")])
             self.wait_for(
                 lambda: host.registry.record_state("quitter", "1.0.0") is UnitState.FAILED,
                 "the version never became Failed",
@@ -1409,3 +1439,76 @@ class TestSystemExitInPayload:
         finally:
             host.stop()
         assert "ERROR unload quitter@1.0.0 failed: SystemExit: 3" in stream.getvalue().splitlines()
+
+
+class _Discard(io.StringIO):
+    """A diagnostics stream that keeps nothing, so memory use shows the host."""
+
+    def write(self, text):
+        return len(text)
+
+
+class TestForgetting:
+    """The registry keeps facts only for versions on disk, Active or Draining."""
+
+    BINDING = [("business", EP, "handle")]
+
+    def test_a_failed_version_redeployed_after_leaving_the_disk_loads_again(self, tmp_path):
+        needs_data = (
+            "from pathlib import Path\n"
+            "def load(context):\n"
+            "    if not (Path(context.data_dir) / 'ready').exists():\n"
+            "        raise RuntimeError('data file missing')\n"
+            "def handle(payload, context):\n"
+            "    return dict(payload, ready=True)\n"
+        )
+        host = make_host(tmp_path)
+        drop = host.config.drop_dir
+        write_bundle(drop, "unit-a", "1.0.0", needs_data, self.BINDING)
+        host.start()
+        try:
+            assert host.registry.record_state("unit-a", "1.0.0") is UnitState.FAILED
+            assert host.dispatch(EP, {}) == {}
+            (drop / ".scpa" / "data" / "unit-a" / "ready").touch()
+            assert not host.hot_swap_cycle().changed  # the same bytes on disk: never retried
+            shutil.rmtree(drop / "unit-a")
+            assert not host.hot_swap_cycle().changed
+            assert host.registry.record_state("unit-a", "1.0.0") is None
+            assert host.status().units == ()
+            write_bundle(drop, "unit-a", "1.0.0", needs_data, self.BINDING)
+            assert host.hot_swap_cycle().activated == (("unit-a", "1.0.0"),)
+            assert host.dispatch(EP, {}) == {"ready": True}
+        finally:
+            host.stop()
+
+    def test_a_thousand_deploy_and_delete_cycles_keep_the_state_flat(self, tmp_path):
+        def retained() -> int:
+            # CPython's table of interned strings, which keeps every file name
+            # it compiles, grows by doubling: one block of up to 1 MB, allocated
+            # wherever a string is interned.  That is the interpreter's memory.
+            gc.collect()
+            return sum(t.size for t in tracemalloc.take_snapshot().traces if t.size < 64 * 1024)
+
+        host = make_host(tmp_path, diagnostics=_Discard())
+        drop = host.config.drop_dir
+        write_bundle(drop, "unit-a", "1.0.0", APPEND.format(stamp="0"), self.BINDING)
+        host.start()
+        tracemalloc.start()
+        try:
+            for i in range(1, 1001):
+                write_bundle(drop, "unit-a", f"1.0.{i}", APPEND.format(stamp=str(i)), self.BINDING)
+                shutil.rmtree(drop / "unit-a" / f"1.0.{i - 1}")
+                assert host.hot_swap_cycle().activated == (("unit-a", f"1.0.{i}"),)
+                assert host.dispatch(EP, {"log": ""}) == {"log": str(i)}
+                states = {r.version: r.state for r in host.status().units}
+                assert states == {f"1.0.{i - 1}": "retired", f"1.0.{i}": "active"}
+                assert len(host.registry._versions) == 2
+                assert list(host._resolved) == ["unit-a"]
+                assert len(host._scan_cache) <= 3  # drop dir, unit dir, one settled version
+                if i == 100:
+                    at_100 = retained()
+            growth = retained() - at_100
+        finally:
+            tracemalloc.stop()
+            host.stop()
+        assert growth < 512 * 1024, f"{growth} bytes more after cycle 1000 than after cycle 100"

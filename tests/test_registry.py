@@ -1,4 +1,4 @@
-"""Registry: scan, lifecycle state machine, snapshots, pins, rollback targets."""
+"""Registry: scan, derived lifecycle states, snapshots, pins, rollback targets."""
 
 import argparse
 import itertools
@@ -34,7 +34,6 @@ from scpa_host.registry import (
     PinMissing,
     Registry,
     UnitState,
-    LEGAL_TRANSITIONS,
     previous_version,
     read_pin,
     resolve_active,
@@ -691,8 +690,7 @@ class TestSnapshotInvariants:
                         if op.startswith("act-"):
                             version = op[4:]
                             discovery = next(d for d in discoveries if d.version == version)
-                            registry.note_discovery(discovery)
-                            if registry.record_state("u1", version) is UnitState.VALIDATED:
+                            if registry.record_state("u1", version) not in (UnitState.ACTIVE, UnitState.DRAINING):
                                 registry.activate(discovery)
                         elif op == "deactivate":
                             registry.deactivate("u1")
@@ -705,19 +703,34 @@ class TestSnapshotInvariants:
                     ]
                     assert len(versions_in_snapshot) <= 1, sequence
 
+    # Each change of one version's state that one activate, deactivate or
+    # retire can make.  A Retired version, or a Failed one with new bytes,
+    # loads again; a version whose bytes changed before its load stays Validated.
+    LEGAL_STEPS = {
+        (None, UnitState.VALIDATED),
+        (None, UnitState.ACTIVE),
+        (None, UnitState.FAILED),
+        (UnitState.VALIDATED, UnitState.ACTIVE),
+        (UnitState.VALIDATED, UnitState.FAILED),
+        (UnitState.ACTIVE, UnitState.DRAINING),
+        (UnitState.DRAINING, UnitState.RETIRED),
+        (UnitState.RETIRED, UnitState.VALIDATED),
+        (UnitState.RETIRED, UnitState.ACTIVE),
+        (UnitState.RETIRED, UnitState.FAILED),
+        (UnitState.FAILED, UnitState.VALIDATED),
+        (UnitState.FAILED, UnitState.ACTIVE),
+    }
+
     def test_lifecycle_legality_randomized(self):
         rng = random.Random(7)
+        steps = []
         for round_no in range(20):
-            transitions = []
             units = {}
 
             def factory(discovery, context):
                 return units[(discovery.name, discovery.version)]
 
-            registry = Registry(
-                factory,
-                transition_listener=lambda n, v, old, new: transitions.append((n, v, old, new)),
-            )
+            registry = Registry(factory)
             names = ["aa", "bb"]
             versions = ["1.0.0", "1.1.0"]
             discoveries = {}
@@ -729,6 +742,11 @@ class TestSnapshotInvariants:
                     discoveries[(name, version)] = Discovery(
                         name, version, reference_manifest(name, version, 100, [EP])
                     )
+
+            def states():
+                return {key: registry.record_state(*key) for key in discoveries}
+
+            before = states()
             for _ in range(30):
                 op = rng.choice(["activate", "deactivate", "rollback", "retire"])
                 name = rng.choice(names)
@@ -747,11 +765,15 @@ class TestSnapshotInvariants:
                         registry.retire_if_drained(name, version)
                 except (NotActive, NoPriorVersion, LoadFailed):
                     continue
-            for name, version, old, new in transitions:
-                if old is None:
-                    assert new is UnitState.DISCOVERED
-                else:
-                    assert (old, new) in LEGAL_TRANSITIONS, (name, version, old, new)
+                finally:
+                    after = states()
+                    for key in discoveries:
+                        if before[key] is not after[key]:
+                            steps.append((key, before[key], after[key]))
+                    before = after
+        assert steps
+        for key, old, new in steps:
+            assert (old, new) in self.LEGAL_STEPS, (key, old, new)
 
 
 class _IdleUnit:

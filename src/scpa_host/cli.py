@@ -37,6 +37,7 @@ from .impact import (
     ImpactError,
     TREATMENT_TABLE,
     aggregate_metrics,
+    align_table,
     closure_comparison,
     format_report,
     load_graph,
@@ -177,11 +178,7 @@ def cmd_list(args) -> int:
         writer.writerows(rows)
         sys.stdout.write(out.getvalue())
     else:
-        table = [("unit", "version", "state", "pinned"), *rows]
-        widths = [max(len(row[i]) for row in table) for i in range(4)]
-        for row in table:
-            line = "  ".join(cell.ljust(width) for cell, width in zip(row, widths))
-            print(line.rstrip())
+        sys.stdout.write(align_table([("unit", "version", "state", "pinned"), *rows]))
         if result.rejects:
             print()
             print("rejects:")

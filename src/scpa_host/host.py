@@ -23,12 +23,11 @@ from .contract import (
     new_envelope_id,
 )
 from .diagnostics import DiagnosticLog
-from .loading import code_key, payload_unit_factory
+from .loading import payload_unit_factory
 from .registry import (
     Discovery,
     DropDirUnreadable,
     LoadFailed,
-    PayloadChanged,
     PinMissing,
     Registry,
     Reject,
@@ -63,12 +62,6 @@ class HostConfig:
             raise HostConfigError(f"unit timeout must be >= {MIN_TIMEOUT_MS} ms")
 
 
-_POLICY_NAMES = {
-    "fail_open": ErrorPolicy.FAIL_OPEN,
-    "fail_closed": ErrorPolicy.FAIL_CLOSED,
-}
-
-
 def load_host_config(path: Path, drop_dir: Path | None = None) -> HostConfig:
     """Parse a ``key: value`` config file mirroring the HostConfig fields."""
     values: dict[str, str] = {}
@@ -95,10 +88,10 @@ def load_host_config(path: Path, drop_dir: Path | None = None) -> HostConfig:
             except ValueError:
                 raise HostConfigError(f"{key}: not an integer") from None
     if "error_policy" in values:
-        policy = _POLICY_NAMES.get(values["error_policy"])
-        if policy is None:
-            raise HostConfigError("error_policy must be fail_open or fail_closed")
-        kwargs["error_policy"] = policy
+        try:
+            kwargs["error_policy"] = ErrorPolicy(values["error_policy"])
+        except ValueError:
+            raise HostConfigError("error_policy must be fail_open or fail_closed") from None
     config = HostConfig(**kwargs)  # validated before the file is opened, so a reject leaks none
     if "diagnostics" in values and values["diagnostics"] != "stderr":
         try:
@@ -148,14 +141,15 @@ class _Resolved:
     their identities from passing to new ones.
 
     ``codes`` is the code this host compiled for the unit's versions on
-    disk, keyed by ``code_key``: the only copy the host keeps.  A new memo
-    takes over the entries whose key is among its discoveries; a unit with
-    no version left on disk has no memo, so its code goes too."""
+    disk, keyed by their Discovery (equal for the same unit, version, path
+    and manifest checksum): the only code store there is.  A new memo takes
+    over the entries of the discoveries it still holds; a unit with no
+    version left on disk has no memo, so its code goes too."""
 
     discoveries: list[Discovery]
     pin: str | None
     choice: Discovery | PinMissing
-    codes: dict[tuple[str, str, str], CodeType]
+    codes: dict[Discovery, CodeType]
 
     def holds_for(self, discoveries: list[Discovery], pin: str | None) -> bool:
         return (
@@ -266,7 +260,6 @@ class Host:
         with self._writer_lock:
             start_epoch = self._registry.snapshot.epoch
             result = scan(self.config.drop_dir, diag=self.diag, cache=self._scan_cache)
-            rejects = list(result.rejects)
 
             by_name: dict[str, list[Discovery]] = {}
             for discovery in result.discoveries:
@@ -281,8 +274,7 @@ class Host:
                 memo = self._resolved.get(name)
                 if memo is None or not memo.holds_for(discoveries, pin):
                     missed = True
-                    keys = {code_key(d) for d in discoveries}
-                    codes = {k: c for k, c in memo.codes.items() if k in keys} if memo else {}
+                    codes = {d: memo.codes[d] for d in discoveries if d in memo.codes} if memo else {}
                     memo = _Resolved(discoveries, pin, _resolve(name, discoveries, pin), codes)
                 resolved[name] = memo
                 if name in result.disabled:
@@ -321,12 +313,7 @@ class Host:
                     continue  # never retried on the bytes whose load failed
                 codes = resolved[name].codes
                 try:
-                    self._registry.activate(replace(discovery, code_store=codes))
-                except PayloadChanged as exc:
-                    reject = Reject(str(discovery.path), "checksum-mismatch", exc.reason)
-                    rejects.append(reject)
-                    self.diag(f"REJECT {reject.path} {reject.code} {reject.detail}")
-                    continue
+                    self._registry.activate(replace(discovery, code=codes.get(discovery)))
                 except LoadFailed as exc:
                     self.diag(
                         f"REJECT {discovery.path or name} load-failed {exc.reason}"
@@ -334,7 +321,7 @@ class Host:
                     continue
                 code = getattr(self._registry.snapshot.bound[name].unit, "code", None)
                 if isinstance(code, CodeType):  # after load() succeeded: a failed one stores nothing
-                    codes[code_key(discovery)] = code
+                    codes[discovery] = code
                 if current is not None:
                     deactivated.append((name, current))
                 activated.append((name, discovery.version))
@@ -345,7 +332,7 @@ class Host:
                 end_epoch=self._registry.snapshot.epoch,
                 activated=tuple(activated),
                 deactivated=tuple(deactivated),
-                rejects=tuple(rejects),
+                rejects=tuple(result.rejects),
             )
         if report.changed:
             for listener in list(self._epoch_listeners):

@@ -14,14 +14,16 @@ from typing import Collection, Iterable, Mapping, Sequence
 
 GRAPH_LAYERS = ("ui", "business", "data", "shared", "pipeline")
 
-METRIC_KEYS = (
-    "defects",
-    "release_time",
-    "testing_time",
-    "development_time",
-    "deployment_time",
-    "loc_changed",
-)
+# Metric key -> the ProjectMetrics field that holds it, in report order.
+METRIC_FIELDS = {
+    "defects": "avg_post_release_defects",
+    "release_time": "avg_release_time",
+    "testing_time": "avg_testing_time",
+    "development_time": "avg_development_time",
+    "deployment_time": "avg_deployment_time",
+    "loc_changed": "avg_loc_changed",
+}
+METRIC_KEYS = tuple(METRIC_FIELDS)
 
 CSV_HEADER = ("project", "defects", "release", "testing", "development", "deployment", "loc")
 
@@ -176,26 +178,12 @@ class ProjectMetrics:
     avg_loc_changed: float
 
     def __post_init__(self):
-        for name in (
-            "avg_post_release_defects",
-            "avg_release_time",
-            "avg_testing_time",
-            "avg_development_time",
-            "avg_deployment_time",
-            "avg_loc_changed",
-        ):
+        for name in METRIC_FIELDS.values():
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
 
     def metric(self, key: str) -> float:
-        return {
-            "defects": self.avg_post_release_defects,
-            "release_time": self.avg_release_time,
-            "testing_time": self.avg_testing_time,
-            "development_time": self.avg_development_time,
-            "deployment_time": self.avg_deployment_time,
-            "loc_changed": self.avg_loc_changed,
-        }[key]
+        return getattr(self, METRIC_FIELDS[key])
 
 
 def load_metrics_table(text: str) -> list[ProjectMetrics]:
@@ -319,13 +307,14 @@ def format_report(report: ImprovementReport, fmt: str = "text") -> str:
             text += "\n" + "\n".join(f"# {n}" for n in notes)
         return text + "\n"
     header = ("metric", "baseline_mean", "treatment_mean", "change")
-    table = _align_table([header, *rows])
+    table = align_table([header, *rows])
     if notes:
         table += "\n".join(notes) + "\n"
     return table
 
 
-def _align_table(rows: Sequence[Sequence[str]]) -> str:
+def align_table(rows: Sequence[Sequence[str]]) -> str:
+    """Left-align ``rows`` in columns two spaces apart, one line each."""
     widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
     lines = [
         "  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip()

@@ -26,7 +26,6 @@ from .contract import (
     Stop,
     UnitExecutionError,
     parse_directive,
-    verify_payload,
 )
 from .registry import Discovery
 
@@ -46,14 +45,14 @@ def compile_payload(path: Path, source: bytes) -> CodeType:
     return compile(source, str(path), "exec", dont_inherit=True)
 
 
-def load_payload_module(path: Path, unit_name: str, version: str, code: CodeType) -> ModuleType:
+def load_payload_module(path: Path, unit_name: str, code: CodeType) -> ModuleType:
     """Execute payload ``code`` as a private module, fresh per activation.
 
-    ``code`` must be compiled from the bytes the caller read and verified
-    against the manifest checksum; ``path`` only names the module's file,
-    which is never read here.  The module gets a unique synthetic name and
-    is never registered in sys.modules, so two units (or two versions of
-    one unit) defining the same symbols cannot collide.
+    ``code`` must be compiled from bytes verified against the manifest
+    checksum; ``path`` only names the module's file, which is never read
+    here.  The module gets a unique synthetic name and is never registered
+    in sys.modules, so two units (or two versions of one unit) defining the
+    same symbols cannot collide.
     """
     with _load_lock:
         serial = next(_module_serial)
@@ -61,15 +60,6 @@ def load_payload_module(path: Path, unit_name: str, version: str, code: CodeType
     module.__file__ = str(path)
     exec(code, module.__dict__)
     return module
-
-
-def code_key(discovery: Discovery) -> tuple[str, str, str]:
-    """The key a host files a unit's compiled code under: its version,
-    payload_ref and manifest checksum.  A host scans one drop dir, so the
-    unit, version and payload_ref name the payload's path, and code is only
-    looked up after the bytes read from that path matched the checksum."""
-    manifest = discovery.manifest
-    return discovery.version, manifest.payload_ref, manifest.checksum
 
 
 class PayloadUnit:
@@ -142,23 +132,17 @@ class PayloadUnit:
 
 
 def payload_unit_factory(discovery: Discovery, context: HostContext) -> PayloadUnit:
-    """Registry unit factory backed by on-disk payload modules.
+    """Registry unit factory backed by scanned payload modules.
 
-    The payload is read once and checked against the manifest checksum
-    again: the scan that verified it may be many ticks old.  Raises
-    ChecksumMismatch when the bytes changed since.  Only then is the code
-    looked up under ``code_key`` in the discovery's ``code_store``, the
-    unit's compiled code its host keeps; without one, or on a miss, the
-    verified bytes are compiled.
+    Runs the discovery's ``code`` when its host stored one, else compiles
+    its ``source``: the bytes the scan verified against the manifest
+    checksum.  No file is read and nothing is hashed here, so the bytes
+    that run are the bytes that were verified, whatever the file holds now.
+    Raises PayloadError for a discovery with no scanned bundle.
     """
-    if discovery.path is None:
-        raise PayloadError(f"discovery of {discovery.name} has no on-disk bundle")
+    if discovery.path is None or discovery.source is None:
+        raise PayloadError(f"discovery of {discovery.name} has no scanned bundle")
     payload_path = Path(discovery.path) / discovery.manifest.payload_ref
-    source = payload_path.read_bytes()
-    verify_payload(discovery.manifest, source)
-    codes = discovery.code_store
-    code = codes.get(code_key(discovery)) if codes is not None else None
-    if code is None:
-        code = compile_payload(payload_path, source)
-    module = load_payload_module(payload_path, discovery.name, discovery.version, code)
+    code = discovery.code or compile_payload(payload_path, discovery.source)
+    module = load_payload_module(payload_path, discovery.name, code)
     return PayloadUnit(discovery.manifest, module, context, code)

@@ -56,12 +56,6 @@ class LoadFailed(RegistryError):
         self.reason = reason
 
 
-class PayloadChanged(LoadFailed):
-    """The payload no longer has the checksum the scan verified.
-
-    The version stays Validated: a later scan sees the new bytes."""
-
-
 class NotActive(RegistryError):
     def __init__(self, name: str):
         super().__init__(f"unit not active: {name}")
@@ -82,7 +76,6 @@ class NoPriorVersion(RegistryError):
 
 
 class UnitState(Enum):
-    VALIDATED = "validated"
     ACTIVE = "active"
     DRAINING = "draining"
     RETIRED = "retired"
@@ -151,17 +144,18 @@ def order_units(handlers: Iterable[HandlerRef]) -> list[HandlerRef]:
 class Discovery:
     """A valid bundle found on disk (or constructed in memory for tests).
 
-    ``code_store``, set by a host on the discovery it activates, is the
-    unit's code that host compiled for the versions on disk, keyed by
-    ``loading.code_key``."""
+    ``source`` is the payload buffer the scan verified against the manifest
+    checksum: the only bytes of it that are ever compiled.  ``code``, set by
+    a host on the discovery it activates, is the code that host compiled
+    from equal bytes at the same path earlier.  Neither takes part in
+    equality: the manifest checksum already names the bytes."""
 
     name: str
     version: str
     manifest: Manifest
     path: Path | None = None
-    code_store: dict[tuple[str, str, str], CodeType] | None = field(
-        default=None, compare=False, repr=False
-    )
+    source: bytes | None = field(default=None, compare=False, repr=False)
+    code: CodeType | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -336,9 +330,7 @@ def _examine(
         verify_payload(manifest, payload)
     except ChecksumMismatch as exc:
         return rejected("checksum-mismatch", str(exc), manifest.payload_ref, payload_fp)
-    discovery = Discovery(
-        name=manifest.name, version=manifest.version, manifest=manifest, path=Path(path)
-    )
+    discovery = Discovery(manifest.name, manifest.version, manifest, Path(path), source=payload)
     return _CachedBundle(manifest_fp, manifest.payload_ref, payload_fp, discovery)
 
 
@@ -461,13 +453,12 @@ def previous_version(name: str, current: str, versions: Iterable[str]) -> str:
 class _Version:
     """The facts about one unit@version that only the registry knows: the
     checksum of the bytes it last tried to load, why that load failed (None
-    when it did not), whether it loaded, and the calls dispatches counted
-    for it (calls, errors, total µs).  Whether it is Active or Draining is
-    not kept here: the snapshot and ``_draining`` say so."""
+    when it did not), and the calls dispatches counted for it (calls,
+    errors, total µs).  Whether it is Active or Draining is not kept here:
+    the snapshot and ``_draining`` say so."""
 
     checksum: str
     failure: str | None = None
-    loaded: bool = False
     calls: int = 0
     errors: int = 0
     total_us: int = 0
@@ -491,8 +482,8 @@ class Registry:
     lock each new snapshot is swapped in under.
 
     A version's lifecycle state is derived, never stored: Active from the
-    snapshot, Draining from ``_draining``, and Failed, Retired or Validated
-    from the ``_Version`` facts the registry keeps for each version it has
+    snapshot, Draining from ``_draining``, and Failed or Retired from the
+    ``_Version`` facts the registry keeps for each version it has
     tried to load, until ``forget`` drops them.
 
     The registry keeps no pins and has no rollback of its own: a rollback
@@ -539,8 +530,7 @@ class Registry:
     def record_state(self, name: str, version: str) -> UnitState | None:
         """The state of ``name``@``version``: Active while the snapshot binds
         it, Draining while ``_draining`` holds it; otherwise Failed when its
-        last load failed, Retired when it loaded, Validated when its bytes
-        changed before they could load.  None for a version the registry
+        last load failed, else Retired.  None for a version the registry
         never tried to load, or has forgotten."""
         if self.active_version(name) == version:
             return UnitState.ACTIVE
@@ -549,9 +539,7 @@ class Registry:
         facts = self._versions.get((name, version))
         if facts is None:
             return None
-        if facts.failure is not None:
-            return UnitState.FAILED
-        return UnitState.RETIRED if facts.loaded else UnitState.VALIDATED
+        return UnitState.FAILED if facts.failure is not None else UnitState.RETIRED
 
     def failed(self, discovery: Discovery) -> bool:
         """Whether the load of these very bytes of ``discovery`` failed.  Such
@@ -586,13 +574,15 @@ class Registry:
 
     def versions(self) -> list[tuple[str, str, UnitState, int, int, int]]:
         """``(name, version, state, calls, errors, total_us)`` for every
-        version the registry knows, in (name, version) order.  Read it from
-        the coordinator sequence, so no mutation runs meanwhile; the counts
-        are read under the lock ``count_calls`` adds them under."""
+        version the registry knows, by name and then by version number.
+        Read it from the coordinator sequence, so no mutation runs meanwhile;
+        the counts are read under the lock ``count_calls`` adds them under."""
         with self._publish_lock:
             return [
                 (name, version, self.record_state(name, version), f.calls, f.errors, f.total_us)
-                for (name, version), f in sorted(self._versions.items())
+                for (name, version), f in sorted(
+                    self._versions.items(), key=lambda kv: (kv[0][0], parse_version(kv[0][1]))
+                )
             ]
 
     def _commit(
@@ -640,32 +630,30 @@ class Registry:
         If another version of the unit is active it starts Draining and is
         absent from the new snapshot.  A version that is Active or Draining,
         or whose load failed on these same bytes, is refused.  A load
-        failure marks the version Failed and leaves the snapshot unchanged;
-        a payload whose bytes no longer match the manifest raises
-        PayloadChanged and leaves the version Validated.
+        failure marks the version Failed and leaves the snapshot unchanged.
+        A payload unit is built from the bytes the scan verified
+        (``Discovery.source``), so a payload file rewritten or deleted since
+        is never read.
         """
         name, version = discovery.name, discovery.version
         if self.failed(discovery):
             raise LoadFailed(name, f"version {version} previously failed")
         state = self.record_state(name, version)
         if state in (UnitState.ACTIVE, UnitState.DRAINING):
-            raise LoadFailed(name, f"version {version} is {state.value}, expected validated")
+            raise LoadFailed(name, f"version {version} is {state.value}")
         facts = self._versions.setdefault((name, version), _Version(discovery.manifest.checksum))
-        facts.checksum, facts.failure, facts.loaded = discovery.manifest.checksum, None, False
+        facts.checksum, facts.failure = discovery.manifest.checksum, None
 
         try:
             context = self._context_factory(name)
             unit = self._unit_factory(discovery, context)
             report = unit.load(context)
-        except ChecksumMismatch as exc:
-            raise PayloadChanged(name, str(exc)) from exc
         except (Exception, SystemExit) as exc:  # sys.exit() in the module body or load() too
             facts.failure = f"{type(exc).__name__}: {exc}"
             raise LoadFailed(name, facts.failure) from exc
         if isinstance(report, LoadReport) and not report.ok:
             facts.failure = report.message or "load reported failure"
             raise LoadFailed(name, facts.failure)
-        facts.loaded = True
 
         previous = self._snapshot.bound.get(name)
         old = previous.manifest if previous is not None else None

@@ -379,6 +379,18 @@ class TestDispatch:
         finally:
             host.stop()
 
+    def test_status_orders_versions_by_number(self, tmp_path):
+        host = make_host(tmp_path)
+        drop = host.config.drop_dir
+        host.start()
+        try:
+            for version in ("1.0.2", "1.0.9", "1.0.10"):
+                write_bundle(drop, "unit-a", version, APPEND.format(stamp=version), [("business", EP, "handle")])
+                assert host.hot_swap_cycle().activated == (("unit-a", version),)
+            assert [r.version for r in host.status().units] == ["1.0.2", "1.0.9", "1.0.10"]
+        finally:
+            host.stop()
+
     def test_counts_monotonic(self, tmp_path):
         host = make_host(tmp_path, error_policy=ErrorPolicy.FAIL_OPEN)
         write_bundle(host.config.drop_dir, "unit-a", "1.0.0", FAILING, [("business", EP, "handle")])
@@ -656,30 +668,55 @@ class TestHotSwap:
         assert seen == [report]
         assert "ERROR epoch listener failed: ZeroDivisionError: division by zero" in stream.getvalue()
 
-    def test_payload_changed_after_scan_is_a_reject_for_that_tick(self, tmp_path, monkeypatch):
+    def _tick_then(self, monkeypatch, host, change):
+        """One tick that runs ``change`` right after its scan."""
         import scpa_host.host as host_mod
 
+        real_scan = host_mod.scan
+
+        def scan_then_change(*args, **kwargs):
+            result = real_scan(*args, **kwargs)
+            change()
+            return result
+
+        with monkeypatch.context() as m:
+            m.setattr(host_mod, "scan", scan_then_change)
+            return host.hot_swap_cycle()
+
+    def test_payload_changed_after_scan_runs_the_scanned_bytes_until_the_next_scan(
+        self, tmp_path, monkeypatch
+    ):
         host = make_host(tmp_path).start()
         bundle = write_bundle(
             host.config.drop_dir, "unit-a", "1.0.0", APPEND.format(stamp="a"), [("business", EP, "handle")]
         )
-        real_scan = host_mod.scan
-
-        def scan_then_tamper(*args, **kwargs):
-            result = real_scan(*args, **kwargs)
-            (bundle / "payload.py").write_text(APPEND.format(stamp="evil"))
-            return result
-
         try:
-            with monkeypatch.context() as m:
-                m.setattr(host_mod, "scan", scan_then_tamper)
-                report = host.hot_swap_cycle()
-            assert report.activated == ()
-            assert [(r.path, r.code) for r in report.rejects] == [(str(bundle), "checksum-mismatch")]
-            assert host.registry.record_state("unit-a", "1.0.0") is UnitState.VALIDATED
-            (bundle / "payload.py").write_text(APPEND.format(stamp="a"))
-            assert host.hot_swap_cycle().activated == (("unit-a", "1.0.0"),)
+            report = self._tick_then(
+                monkeypatch, host, lambda: (bundle / "payload.py").write_text(APPEND.format(stamp="evil"))
+            )
+            assert (report.activated, report.rejects) == ((("unit-a", "1.0.0"),), ())
             assert host.dispatch(EP, {})["log"] == "a"
+            report = host.hot_swap_cycle()
+            assert [(r.path, r.code) for r in report.rejects] == [(str(bundle), "checksum-mismatch")]
+            assert report.deactivated == (("unit-a", "1.0.0"),)
+        finally:
+            host.stop()
+
+    def test_payload_deleted_after_scan_activates_and_the_next_scan_deactivates(
+        self, tmp_path, monkeypatch
+    ):
+        host = make_host(tmp_path).start()
+        bundle = write_bundle(
+            host.config.drop_dir, "unit-a", "1.0.0", APPEND.format(stamp="a"), [("business", EP, "handle")]
+        )
+        try:
+            report = self._tick_then(monkeypatch, host, (bundle / "payload.py").unlink)
+            assert (report.activated, report.rejects) == ((("unit-a", "1.0.0"),), ())
+            assert host.registry.record_state("unit-a", "1.0.0") is UnitState.ACTIVE
+            assert host.dispatch(EP, {})["log"] == "a"
+            report = host.hot_swap_cycle()
+            assert [(r.path, r.code) for r in report.rejects] == [(str(bundle), "missing-payload")]
+            assert report.deactivated == (("unit-a", "1.0.0"),)
         finally:
             host.stop()
 
@@ -1259,7 +1296,7 @@ class TestCodeReuse:
         finally:
             host.stop()
 
-    def test_bytes_changed_after_scan_are_rejected_and_stored_code_never_runs(
+    def test_bytes_changed_after_scan_never_run_and_the_stored_code_does(
         self, tmp_path, compiles, monkeypatch
     ):
         import scpa_host.host as host_mod
@@ -1283,11 +1320,10 @@ class TestCodeReuse:
         try:
             write_pin(drop / "unit-a", "1.0.0")
             report = host.hot_swap_cycle()
-            assert [r.code for r in report.rejects] == ["checksum-mismatch"]
-            assert report.activated == ()
+            assert (report.activated, report.rejects) == ((("unit-a", "1.0.0"),), ())
             assert not marker.exists()
-            assert self.loads(host) == ["a1", "a2"]  # the stored 1.0.0 code did not run
-            assert host.dispatch(EP, {})["stamp"] == "a2"
+            assert self.loads(host) == ["a1", "a2", "a1"]  # the stored 1.0.0 code ran
+            assert host.dispatch(EP, {})["stamp"] == "a1"
             assert compiles == [("unit-a", "1.0.0"), ("unit-a", "1.1.0")]
         finally:
             host.stop()

@@ -133,15 +133,15 @@ class TestIsolation:
     def test_modules_not_registered_in_sys_modules(self, tmp_path):
         before = set(sys.modules)
         path = tmp_path / "payload.py"
-        module = load_payload_module(path, "unit-a", "1.0.0", compile_payload(path, b"x = 1\n"))
+        module = load_payload_module(path, "unit-a", compile_payload(path, b"x = 1\n"))
         assert module.x == 1
         assert set(sys.modules) == before
 
     def test_fresh_module_per_activation(self, tmp_path):
         path = tmp_path / "payload.py"
         code = compile_payload(path, b"counter = []\n")
-        m1 = load_payload_module(path, "unit-a", "1.0.0", code)
-        m2 = load_payload_module(path, "unit-a", "1.0.0", code)
+        m1 = load_payload_module(path, "unit-a", code)
+        m2 = load_payload_module(path, "unit-a", code)
         m1.counter.append(1)
         assert m2.counter == []
 
@@ -181,7 +181,7 @@ class TestVerifiedBytes:
         assert unit.execute(make_envelope(EP, {})).payload["by"] == "source"
 
     def test_payload_altered_after_scan_never_runs(self, tmp_path):
-        from scpa_host.registry import PayloadChanged, UnitState
+        from scpa_host.registry import UnitState
 
         write_bundle(tmp_path, "unit-a", "1.0.0", self.SOURCE, [("business", EP, "handle")])
         discovery = scan(tmp_path).discoveries[0]
@@ -189,11 +189,20 @@ class TestVerifiedBytes:
         marker = tmp_path / "ran"
         payload.write_text(f"open({str(marker)!r}, 'w').close()\n" + self.SOURCE)
         registry = Registry(payload_unit_factory)
-        with pytest.raises(PayloadChanged, match="checksum"):
-            registry.activate(discovery)
-        assert not marker.exists()
-        assert registry.record_state("unit-a", "1.0.0") is UnitState.VALIDATED
-
-        payload.write_text(self.SOURCE)
-        registry.activate(scan(tmp_path).discoveries[0])
+        snapshot = registry.activate(discovery)
         assert registry.record_state("unit-a", "1.0.0") is UnitState.ACTIVE
+        assert not marker.exists()
+        unit = snapshot.bound["unit-a"].unit
+        assert unit.execute(make_envelope(EP, {})).payload["by"] == "source"
+
+    def test_payload_deleted_after_scan_activates_the_scanned_bytes(self, tmp_path):
+        from scpa_host.registry import UnitState
+
+        write_bundle(tmp_path, "unit-a", "1.0.0", self.SOURCE, [("business", EP, "handle")])
+        discovery = scan(tmp_path).discoveries[0]
+        (discovery.path / "payload.py").unlink()
+        registry = Registry(payload_unit_factory)
+        snapshot = registry.activate(discovery)
+        assert registry.record_state("unit-a", "1.0.0") is UnitState.ACTIVE
+        unit = snapshot.bound["unit-a"].unit
+        assert unit.execute(make_envelope(EP, {})).payload["by"] == "source"

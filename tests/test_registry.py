@@ -705,19 +705,14 @@ class TestSnapshotInvariants:
 
     # Each change of one version's state that one activate, deactivate or
     # retire can make.  A Retired version, or a Failed one with new bytes,
-    # loads again; a version whose bytes changed before its load stays Validated.
+    # loads again.
     LEGAL_STEPS = {
-        (None, UnitState.VALIDATED),
         (None, UnitState.ACTIVE),
         (None, UnitState.FAILED),
-        (UnitState.VALIDATED, UnitState.ACTIVE),
-        (UnitState.VALIDATED, UnitState.FAILED),
         (UnitState.ACTIVE, UnitState.DRAINING),
         (UnitState.DRAINING, UnitState.RETIRED),
-        (UnitState.RETIRED, UnitState.VALIDATED),
         (UnitState.RETIRED, UnitState.ACTIVE),
         (UnitState.RETIRED, UnitState.FAILED),
-        (UnitState.FAILED, UnitState.VALIDATED),
         (UnitState.FAILED, UnitState.ACTIVE),
     }
 
@@ -922,7 +917,7 @@ class TestHold:
             try:
                 if rng.random() < 0.6:
                     version = rng.choice(versions)
-                    if registry.record_state(name, version) not in (None, UnitState.VALIDATED, UnitState.RETIRED):
+                    if registry.record_state(name, version) not in (None, UnitState.RETIRED):
                         continue
                     registry.activate(Discovery(name, version, _random_manifest(rng, name, version)))
                 else:

@@ -173,12 +173,12 @@ class ScanResult:
     pins: dict[str, str] = field(default_factory=dict)
 
 
-def read_pin(unit_dir: Path) -> str | None:
-    """Read the one-line ``pin: <version>`` file; None when it is absent,
-    unreadable, not UTF-8 text or malformed: such a pin is ignored."""
-    pin_path = unit_dir / PIN_FILENAME
+def read_pin(unit_dir: str | Path) -> str | None:
+    """Read the one-line ``pin: <version>`` file of ``unit_dir`` as bytes
+    and decode it; None when it is absent, unreadable, not UTF-8 text or
+    malformed: such a pin is ignored."""
     try:
-        text = pin_path.read_text(encoding="utf-8")
+        text = _read(f"{os.fspath(unit_dir)}/{PIN_FILENAME}").decode("utf-8")
     except (OSError, UnicodeDecodeError):
         return None
     line = text.strip()
@@ -223,13 +223,18 @@ class _CachedListing:
 
 @dataclass(frozen=True)
 class _CachedBundle:
-    """What one scan learned about a version directory, and the stat
-    fingerprints (None: no such file) it learned it from."""
+    """What one scan learned about a version directory, the stat
+    fingerprints (None: no such file) it learned it from, and for a
+    discovery the manifest bytes it was parsed from (its payload bytes are
+    its ``source``).  ``settled``: both fingerprints were outside the racy
+    window of that scan, so an equal fingerprint means equal bytes."""
 
     manifest: Fingerprint | None
     payload_ref: str | None
     payload: Fingerprint | None
     outcome: Discovery | Reject
+    settled: bool
+    manifest_bytes: bytes | None
 
 
 ScanCache = dict[str, "_CachedListing | _CachedBundle"]
@@ -292,65 +297,75 @@ def _list_dir(path: str, cache: ScanCache, started_ns: int) -> _CachedListing:
 
 
 def _examine(
-    unit_name: str, path: str, version: str, manifest_st: os.stat_result | None
+    unit_name: str,
+    path: str,
+    version: str,
+    manifest_st: os.stat_result | None,
+    known: _CachedBundle | None,
+    scan_started_ns: int,
 ) -> _CachedBundle:
-    """Read, parse and verify the version directory ``path``."""
+    """Read the version directory ``path``.  When both files hold the bytes
+    ``known``'s discovery was learned from, that very discovery is kept;
+    otherwise they are parsed and verified.  A reject from a read that
+    failed on a file that is there is never settled: the failure may be
+    transient, so the next scan reads again."""
     manifest_fp = _fingerprint(manifest_st)
 
-    def rejected(code: str, detail: str, payload_ref=None, payload_fp=None) -> _CachedBundle:
-        return _CachedBundle(manifest_fp, payload_ref, payload_fp, Reject(path, code, detail))
+    def learned(outcome, payload_ref=None, payload_fp=None, raw=None, transient=False) -> _CachedBundle:
+        settled = not transient and all(_settled(fp, scan_started_ns) for fp in (manifest_fp, payload_fp))
+        return _CachedBundle(manifest_fp, payload_ref, payload_fp, outcome, settled, raw)
+
+    def rejected(code: str, detail: str, payload_ref=None, payload_fp=None, transient=False) -> _CachedBundle:
+        return learned(Reject(path, code, detail), payload_ref, payload_fp, transient=transient)
 
     if manifest_st is None or not stat.S_ISREG(manifest_st.st_mode):
         return rejected("missing-manifest", f"no {MANIFEST_FILENAME}")
     try:
-        text = _read(f"{path}/{MANIFEST_FILENAME}").decode("utf-8")
+        raw = _read(f"{path}/{MANIFEST_FILENAME}")
     except OSError as exc:
-        return rejected("unreadable", f"cannot read {MANIFEST_FILENAME}: {exc.strerror}")
-    except UnicodeDecodeError as exc:
-        return rejected("bad-manifest", f"not UTF-8 text at byte {exc.start}")
-    try:
-        manifest = parse_manifest(text)
-    except ManifestError as exc:
-        return rejected("bad-manifest", str(exc))
-    if manifest.name != unit_name or manifest.version != version:
-        return rejected(
-            "name-version-mismatch",
-            f"directory says {unit_name}/{version}, "
-            f"manifest says {manifest.name}/{manifest.version}",
-        )
+        return rejected("unreadable", f"cannot read {MANIFEST_FILENAME}: {exc.strerror}", transient=True)
+    reuse = known is not None and known.manifest_bytes == raw
+    if reuse:
+        manifest = known.outcome.manifest
+    else:
+        try:
+            manifest = parse_manifest(raw.decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            return rejected("bad-manifest", f"not UTF-8 text at byte {exc.start}")
+        except ManifestError as exc:
+            return rejected("bad-manifest", str(exc))
+        if manifest.name != unit_name or manifest.version != version:
+            return rejected(
+                "name-version-mismatch",
+                f"directory says {unit_name}/{version}, "
+                f"manifest says {manifest.name}/{manifest.version}",
+            )
     payload_path = f"{path}/{manifest.payload_ref}"
     payload_fp = _fingerprint(_stat(payload_path))
     try:
         payload = _read(payload_path)
     except OSError:
         return rejected(
-            "missing-payload", f"cannot read {manifest.payload_ref}", manifest.payload_ref, payload_fp
+            "missing-payload", f"cannot read {manifest.payload_ref}", manifest.payload_ref, payload_fp,
+            transient=payload_fp is not None,
         )
+    if reuse and payload == known.outcome.source:
+        return learned(known.outcome, manifest.payload_ref, payload_fp, raw)
     try:
         verify_payload(manifest, payload)
     except ChecksumMismatch as exc:
         return rejected("checksum-mismatch", str(exc), manifest.payload_ref, payload_fp)
     discovery = Discovery(manifest.name, manifest.version, manifest, Path(path), source=payload)
-    return _CachedBundle(manifest_fp, manifest.payload_ref, payload_fp, discovery)
+    return learned(discovery, manifest.payload_ref, payload_fp, raw)
 
 
-def _unchanged(
-    cached: _CachedListing | _CachedBundle | None,
-    version_path: str,
-    manifest_fp: Fingerprint | None,
-) -> bool:
-    if not isinstance(cached, _CachedBundle) or cached.manifest != manifest_fp:
+def _unchanged(cached: _CachedBundle | None, version_path: str, manifest_fp: Fingerprint | None) -> bool:
+    """Whether ``cached`` is settled and its files keep their fingerprints."""
+    if cached is None or not cached.settled or cached.manifest != manifest_fp:
         return False
     if cached.payload_ref is None:
         return True
     return _fingerprint(_stat(f"{version_path}/{cached.payload_ref}")) == cached.payload
-
-
-def _trusted(cached: _CachedBundle, scan_started_ns: int) -> bool:
-    """Whether a later scan may reuse ``cached`` on an equal fingerprint."""
-    if isinstance(cached.outcome, Reject) and cached.outcome.code == "unreadable":
-        return False  # a read error may be transient: retry it on the next scan
-    return _settled(cached.manifest, scan_started_ns) and _settled(cached.payload, scan_started_ns)
 
 
 def scan(
@@ -367,12 +382,15 @@ def scan(
     scan to the next; without one, the scan starts from an empty cache and
     reads everything.  A directory whose stat fingerprint is the one seen
     when it was last listed is not listed again, and a version directory
-    whose manifest and payload have the fingerprints seen before reuses its
-    earlier discovery or reject without reading, parsing or hashing.  An
-    unchanged tree thus costs one ``stat`` per directory and two per
-    version; a ``pin`` file is still read on every scan, since rewriting it
-    in place leaves its directory as it was.  Entries of paths that are gone
-    are dropped from the cache.
+    whose manifest and payload have the settled fingerprints seen before
+    reuses its earlier discovery or reject without reading, parsing or
+    hashing.  An unchanged tree thus costs one ``stat`` per directory and
+    two per version; a ``pin`` file is still read on every scan, since
+    rewriting it in place leaves its directory as it was.  Any other version
+    directory is read again; when both its files hold the bytes of its
+    cached discovery, that same Discovery object is returned without parsing
+    or hashing, so equal bytes yield an identical result.  Entries of paths
+    that are gone are dropped from the cache.
     """
     if cache is None:
         cache = {}
@@ -402,17 +420,17 @@ def scan(
         if DISABLED_FILENAME in listing.names:
             result.disabled.add(unit_name)
         if PIN_FILENAME in listing.names:
-            pin = read_pin(Path(unit_path))
+            pin = read_pin(unit_path)
             if pin is not None:
                 result.pins[unit_name] = pin
         for version in listing.subdirs:
             path = f"{unit_path}/{version}"
             manifest_st = _stat(f"{path}/{MANIFEST_FILENAME}")
-            cached = cache.get(path)
+            cached = cache.get(path)  # a version directory's path holds only a _CachedBundle
             if not _unchanged(cached, path, _fingerprint(manifest_st)):
-                cached = _examine(unit_name, path, version, manifest_st)
-                if _trusted(cached, started_ns):
-                    cache[path] = cached
+                cached = _examine(unit_name, path, version, manifest_st, cached, started_ns)
+                if cached.settled or isinstance(cached.outcome, Discovery):
+                    cache[path] = cached  # an unsettled discovery is kept for its bytes
                 else:
                     cache.pop(path, None)
             seen.add(path)

@@ -1190,6 +1190,32 @@ class TestIdleTick:
         finally:
             host.stop()
 
+
+class TestRacyTick:
+    def test_a_racy_unchanged_tree_keeps_its_memo_and_forgets_nothing(self, tmp_path, monkeypatch):
+        import scpa_host.registry as registry_mod
+
+        monkeypatch.setattr(registry_mod, "RACY_WINDOW_NS", 10**18)  # every file stays racy
+        seen = []
+        real_forget = Registry.forget
+        monkeypatch.setattr(Registry, "forget", lambda self, on_disk: seen.append(on_disk) or real_forget(self, on_disk))
+        host = make_host(tmp_path)
+        drop = host.config.drop_dir
+        for name, version in [("unit-a", "1.0.0"), ("unit-a", "1.1.0"), ("unit-b", "1.0.0")]:
+            write_bundle(drop, name, version, APPEND.format(stamp=name[-1]), [("business", EP, "handle")])
+        host.start()
+        try:
+            memos = dict(host._resolved)
+            seen.clear()
+            for _ in range(3):
+                assert not host.hot_swap_cycle().changed
+                assert all(host._resolved[name] is memo for name, memo in memos.items())
+            assert seen == []
+            assert host.dispatch(EP, {"log": ""}) == {"log": "ab"}
+        finally:
+            host.stop()
+
+
 class TestRestartEquivalence:
     def test_routes_identical_after_restart(self, tmp_path):
         host = make_host(tmp_path)

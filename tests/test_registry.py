@@ -1,11 +1,13 @@
 """Registry: scan, derived lifecycle states, snapshots, pins, rollback targets."""
 
 import argparse
+import errno
 import itertools
 import os
 import random
 import shutil
 import time
+import types
 
 from types import MappingProxyType
 
@@ -182,6 +184,11 @@ def _version_entries(cache):
     return sorted(path for path, entry in cache.items() if isinstance(entry, registry_mod._CachedBundle))
 
 
+# No racy window, so settled fingerprints are reused; and the real one, inside
+# which every entry of these quick tests is racy and is reused only by bytes.
+RACY_WINDOWS = [0, registry_mod.RACY_WINDOW_NS]
+
+
 def _wait_for_next_timestamp_tick():
     """Let file timestamps move on, so the next write changes a fingerprint."""
     time.sleep(0.05)
@@ -252,6 +259,29 @@ class TestScanCache:
         monkeypatch.setattr(registry_mod, "RACY_WINDOW_NS", 0)
         assert scan_rewrite_scan({}).rejects == []
 
+    def test_racy_byte_identical_bundle_is_read_but_neither_parsed_nor_hashed(
+        self, tmp_path, monkeypatch, calls
+    ):
+        monkeypatch.setattr(registry_mod, "RACY_WINDOW_NS", 10**18)  # every file stays racy
+        bundle = write_bundle(tmp_path, "unit-a", "1.0.0", OK_PAYLOAD, BINDINGS)
+        cache = {}
+        first = scan(tmp_path, cache=cache).discoveries[0]
+        for _ in range(2):
+            calls.clear()
+            assert scan(tmp_path, cache=cache).discoveries[0] is first
+            assert calls == {"_read": 2}  # the manifest and the payload, compared with the cached bytes
+
+        # a settled bundle whose fingerprints changed but whose bytes did not
+        monkeypatch.setattr(registry_mod, "RACY_WINDOW_NS", 0)
+        _wait_for_next_timestamp_tick()
+        os.utime(bundle / "payload.py")
+        calls.clear()
+        assert scan(tmp_path, cache=cache).discoveries[0] is first
+        assert calls == {"_read": 2}
+        calls.clear()
+        assert scan(tmp_path, cache=cache).discoveries[0] is first
+        assert calls == {}
+
     def test_replaced_manifest_is_caught(self, tmp_path, monkeypatch):
         monkeypatch.setattr(registry_mod, "RACY_WINDOW_NS", 0)
         write_bundle(tmp_path, "unit-a", "1.0.0", OK_PAYLOAD, BINDINGS, priority=100)
@@ -282,8 +312,9 @@ class TestScanCache:
         assert calls["parse_manifest"] == 1
         assert len(lines) == 3 and len(set(lines)) == 1 and lines[0].startswith("REJECT ")
 
-    def test_cached_scan_equals_uncached_scan_after_each_edit(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(registry_mod, "RACY_WINDOW_NS", 0)
+    @pytest.mark.parametrize("racy_window_ns", RACY_WINDOWS)
+    def test_cached_scan_equals_uncached_scan_after_each_edit(self, tmp_path, monkeypatch, racy_window_ns):
+        monkeypatch.setattr(registry_mod, "RACY_WINDOW_NS", racy_window_ns)
         unit_dir = tmp_path / "unit-a"
         bundle = unit_dir / "1.0.0"
         other = "def handle(payload, context):\n    return dict(payload, x=1)\n"
@@ -337,9 +368,12 @@ class TestScanCache:
         monkeypatch.setattr(registry_mod, "RACY_WINDOW_NS", 0)
         assert scan_add_scan({}) == ["1.0.0"]
 
+    @pytest.mark.parametrize("racy_window_ns", RACY_WINDOWS)
     @pytest.mark.parametrize("seed", [1, 2])
-    def test_cached_scan_equals_uncached_scan_after_random_edits(self, tmp_path, monkeypatch, seed):
-        monkeypatch.setattr(registry_mod, "RACY_WINDOW_NS", 0)
+    def test_cached_scan_equals_uncached_scan_after_random_edits(
+        self, tmp_path, monkeypatch, seed, racy_window_ns
+    ):
+        monkeypatch.setattr(registry_mod, "RACY_WINDOW_NS", racy_window_ns)
         rng = random.Random(seed)
         drop = tmp_path / "drop"
         sources = tmp_path / "sources"  # bundles to deploy and symlink targets live outside the drop dir
@@ -428,6 +462,79 @@ class TestScanCache:
             _wait_for_next_timestamp_tick()
             rng.choice(edits)(rng.choice(names))
             assert scan(drop, cache=cache) == scan(drop)
+
+
+class TestScanFaults:
+    """A failed ``os.stat``, ``os.scandir`` or file read at any point of a
+    scan: the scan reports what it could, and learns nothing from it that a
+    later scan would reuse."""
+
+    ERRNOS = [errno.EACCES, errno.ENOENT, errno.EIO]
+
+    @pytest.fixture
+    def tree(self, tmp_path, monkeypatch):
+        """A drop dir with a settled bundle whose unit directory holds a
+        ``pin`` and a ``disabled`` marker, and a racy bundle written later;
+        the scan clock is stopped between the two."""
+        drop = tmp_path / "drop"
+        settled = write_bundle(drop, "unit-a", "1.0.0", OK_PAYLOAD, BINDINGS)
+        write_pin(drop / "unit-a", "1.0.0")
+        (drop / "unit-a" / "disabled").touch()
+        time.sleep(0.05)  # past a timestamp tick
+        racy = write_bundle(drop, "unit-b", "1.0.0", OK_PAYLOAD, BINDINGS)
+        ctimes = lambda paths: [os.stat(p).st_ctime_ns for p in paths]
+        settled_at = max(ctimes([settled, *settled.iterdir(), *(drop / "unit-a").iterdir(), drop / "unit-a"]))
+        racy_from = min(ctimes([racy / "manifest.scpa", racy / "payload.py"]))
+        assert settled_at < racy_from
+        now = max(ctimes([drop, *drop.iterdir(), racy, *racy.iterdir()])) + 1
+        monkeypatch.setattr(registry_mod, "time", types.SimpleNamespace(time_ns=lambda: now))
+        monkeypatch.setattr(registry_mod, "RACY_WINDOW_NS", now - (settled_at + racy_from) // 2)
+        is_settled = lambda path: registry_mod._settled(registry_mod._fingerprint(os.stat(path)), now)
+        assert all(is_settled(p) for p in settled.iterdir())
+        assert not any(is_settled(p) for p in racy.iterdir())
+        return drop
+
+    @staticmethod
+    def failing(monkeypatch, module, name, k, code):
+        """Make the k-th call of ``module.name`` raise OSError ``code``;
+        returns the list the failed call's path is put in."""
+        real, count, failed = getattr(module, name), itertools.count(1), []
+
+        def call(path, *args, **kwargs):
+            if next(count) == k:
+                failed.append(os.fspath(path))
+                raise OSError(code, os.strerror(code), path)
+            return real(path, *args, **kwargs)
+
+        monkeypatch.setattr(module, name, call)
+        return failed
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    @pytest.mark.parametrize(
+        "module, name", [(os, "stat"), (os, "scandir"), (registry_mod, "_read")], ids=["stat", "scandir", "read"]
+    )
+    def test_every_failed_call_leaves_a_scan_that_equals_an_uncached_one(
+        self, tree, monkeypatch, module, name, warm
+    ):
+        cache = {}
+        scan(tree, cache=cache)
+        calls = []
+        with monkeypatch.context() as m:
+            real = getattr(module, name)
+            m.setattr(module, name, lambda path, *a, **k: calls.append(path) or real(path, *a, **k))
+            scan(tree, cache=dict(cache) if warm else {})
+        assert calls
+        for code in self.ERRNOS:
+            for k in range(1, len(calls) + 1):
+                faulty = dict(cache) if warm else {}
+                with monkeypatch.context() as m:
+                    failed = self.failing(m, module, name, k, code)
+                    try:
+                        scan(tree, cache=faulty)
+                    except DropDirUnreadable:
+                        assert failed == [str(tree)]
+                assert failed, k
+                assert scan(tree, cache=faulty) == scan(tree), (code, k, failed)
 
 
 class TestResolveActive:
